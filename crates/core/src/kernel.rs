@@ -117,6 +117,9 @@ pub trait DistortionKernel: Send + Sync + std::fmt::Debug {
 }
 
 /// A kernel's dirty-side state, prepared once per replication.
+///
+/// Every score is `≥ 0` (or an `Err`). The budget optimizer relies on this
+/// to bound a candidate's marginal gain without scoring it.
 pub trait PreparedKernel: Send + Sync {
     /// Scores the cleaned cloud given as sparse row edits against the
     /// cache this state was prepared from. Bit-identical to the kernel's
@@ -346,7 +349,10 @@ fn kl_from_quants(qd: &CloudQuant, qc: &CloudQuant) -> Result<f64> {
             }
         }
     }
-    Ok(kl_divergence(&p, &q, KL_EPSILON))
+    // KL is ≥ 0 in exact arithmetic, but its rounded sum can dip just
+    // below 0 when the two histograms nearly agree; clamp it to keep the
+    // kernel contract that every score is ≥ 0.
+    Ok(kl_divergence(&p, &q, KL_EPSILON).max(0.0))
 }
 
 // ---------------------------------------------------------------------------
@@ -779,6 +785,27 @@ mod tests {
         let patched = PatchedCloud::new(&cache, vec![(0, vec![40.0, 0.0, 0.0])]);
         let fast = kernel.prepare(&cache).score_patch(&patched).unwrap();
         assert_eq!(fast.to_bits(), score.to_bits());
+    }
+
+    #[test]
+    fn kl_clamps_a_rounded_negative_sum_to_zero() {
+        // Two histograms one count apart in ~2.5e8: the true divergence is
+        // far below the sum's rounding error, and the rounded sum lands
+        // just under 0. The kernel contract (scores ≥ 0) clamps it.
+        let quant = |counts: Vec<f64>| CloudQuant {
+            total: counts.iter().sum(),
+            occupied: counts.len(),
+            counts: Some(counts),
+            skipped: 0,
+            pairs: Vec::new(),
+        };
+        let qd = quant(vec![102_838_016.0, 150_076_269.0]);
+        let qc = quant(vec![102_838_016.0, 150_076_268.0]);
+        let shares = |q: &CloudQuant| -> Vec<f64> {
+            q.counts.iter().flatten().map(|c| c / q.total).collect()
+        };
+        assert!(kl_divergence(&shares(&qd), &shares(&qc), KL_EPSILON) < 0.0);
+        assert_eq!(kl_from_quants(&qd, &qc).unwrap(), 0.0);
     }
 
     #[test]

@@ -16,21 +16,32 @@
 //! comes from the [`CostModel`], and its glitch payoff is the series'
 //! contribution to the normalized glitch-index improvement. The
 //! [`SelectionPolicy::Greedy`] optimizer walks the knapsack greedily: at
-//! every step it scores, for each still-affordable candidate, the
-//! *marginal* objective gain
+//! every step it buys the still-affordable candidate with the best
+//! *marginal* objective gain per dollar, where
 //!
 //! ```text
 //! gain(c | S) = Δimprovement(c) − λ · [ D(S ∪ {c}) − D(S) ]
 //! ```
 //!
-//! where `D` is the primary metric's distortion of the combined sparse
+//! `D` is the primary metric's distortion of the combined sparse
 //! patch (scored incrementally through the replication's prepared kernel,
 //! [`crate::PreparedKernel::score_edits`], against the shared
 //! [`sd_emd::SignatureCache`]) and `λ` is
-//! [`BudgetOptimizerConfig::distortion_weight`]. It buys the affordable
-//! candidate with the best gain-per-dollar (ties broken toward the lower
-//! series index), skips candidates it cannot afford, and stops when no
-//! affordable candidate has positive gain. The
+//! [`BudgetOptimizerConfig::distortion_weight`]. Ties break toward the
+//! lower series index; candidates it cannot afford are skipped, and it
+//! stops when no affordable candidate has positive gain.
+//!
+//! Scoring `D(S ∪ {c})` is the expensive step (one transport solve for
+//! EMD), so the scan bounds each candidate first. Kernel scores are
+//! `≥ 0`, hence `gain(c | S) ≤ Δimprovement(c) + λ · D(S)`, and the bound
+//! holds exactly in floating point because every rounding step is
+//! monotone. A candidate whose bound does not beat the best gain per
+//! dollar found so far, under the same comparison that picks the best, is
+//! skipped unscored. The purchases are therefore bit-identical to an
+//! eager scan that scores every affordable candidate. The one observable
+//! difference: an eager scan fails if *any* affordable candidate fails to
+//! score, while this scan surfaces only the errors of candidates it
+//! actually scores. The
 //! [`SelectionPolicy::DirtiestFirst`] baseline is the paper's §5.2
 //! ordering under the same prices; [`SelectionPolicy::Random`] is the
 //! uninformed control.
@@ -556,7 +567,9 @@ fn merge_edits(a: &[(usize, Vec<f64>)], b: &[(usize, Vec<f64>)]) -> Vec<(usize, 
 /// the engine path scores it incrementally
 /// ([`crate::PreparedKernel::score_edits`]), the reference path
 /// materializes; both are bit-identical by the kernel contract, so the
-/// greedy decisions cannot diverge between paths.
+/// greedy decisions cannot diverge between paths. Greedy scores only the
+/// candidates whose gain bound could beat the best so far (see the
+/// module docs).
 fn plan_trajectory(
     candidates: &[Candidate],
     policy: SelectionPolicy,
@@ -582,20 +595,27 @@ fn plan_trajectory(
         // correctly; strict `>` keeps ties on the earlier (lower-index)
         // candidate.
         let mut best: Option<(usize, f64, f64)> = None; // (position, gain, d_after)
+        let beats = |gain: f64, price: f64, best: Option<(usize, f64, f64)>| match best {
+            None => true,
+            Some((bpos, bgain, _)) => gain * candidates[remaining[bpos]].price > bgain * price,
+        };
         for (pos, &c) in remaining.iter().enumerate() {
             let cand = &candidates[c];
             if spent + cand.price > max_budget {
                 continue;
             }
+            // Kernel scores are ≥ 0, so `D(S ∪ c) − D(S) ≥ −D(S)`; with λ
+            // and prices ≥ 0 and every rounding step monotone, `gain ≤
+            // bound` holds exactly in floating point. A candidate whose
+            // bound cannot beat the best so far cannot win (a NaN bound
+            // implies a NaN gain), so it is never scored.
+            let bound = cand.delta_improvement + distortion_weight * current_d;
+            if !beats(bound, cand.price, best) {
+                continue;
+            }
             let d_after = score_union(merge_edits(&selected_edits, &cand.row_edits))?;
             let gain = cand.delta_improvement - distortion_weight * (d_after - current_d);
-            let better = match best {
-                None => true,
-                Some((bpos, bgain, _)) => {
-                    gain * candidates[remaining[bpos]].price > bgain * cand.price
-                }
-            };
-            if better {
+            if beats(gain, cand.price, best) {
                 best = Some((pos, gain, d_after));
             }
         }
@@ -972,6 +992,255 @@ mod tests {
 
     fn data() -> Dataset {
         generate(&NetsimConfig::small(9)).dataset
+    }
+
+    /// The eager greedy scan: scores every affordable candidate at every
+    /// step. The oracle the pruned [`plan_trajectory`] must reproduce.
+    fn plan_trajectory_eager(
+        candidates: &[Candidate],
+        distortion_weight: f64,
+        max_budget: f64,
+        mut score_union: impl FnMut(Vec<(usize, Vec<f64>)>) -> Result<f64>,
+    ) -> Result<Vec<usize>> {
+        let mut steps = Vec::new();
+        let mut spent = 0.0;
+        let mut remaining: Vec<usize> = (0..candidates.len()).collect();
+        let mut selected_edits: Vec<(usize, Vec<f64>)> = Vec::new();
+        let mut current_d = score_union(selected_edits.clone())?;
+        loop {
+            let mut best: Option<(usize, f64, f64)> = None;
+            for (pos, &c) in remaining.iter().enumerate() {
+                let cand = &candidates[c];
+                if spent + cand.price > max_budget {
+                    continue;
+                }
+                let d_after = score_union(merge_edits(&selected_edits, &cand.row_edits))?;
+                let gain = cand.delta_improvement - distortion_weight * (d_after - current_d);
+                let better = match best {
+                    None => true,
+                    Some((bpos, bgain, _)) => {
+                        gain * candidates[remaining[bpos]].price > bgain * cand.price
+                    }
+                };
+                if better {
+                    best = Some((pos, gain, d_after));
+                }
+            }
+            let Some((pos, gain, d_after)) = best else {
+                break;
+            };
+            if gain <= 0.0 {
+                break;
+            }
+            let c = remaining.swap_remove(pos);
+            selected_edits = merge_edits(&selected_edits, &candidates[c].row_edits);
+            current_d = d_after;
+            spent += candidates[c].price;
+            steps.push(c);
+        }
+        Ok(steps)
+    }
+
+    /// A synthetic candidate: series `i` with the single-row edit `[a, b]`.
+    fn synthetic(i: usize, price: f64, delta_improvement: f64, a: f64, b: f64) -> Candidate {
+        Candidate {
+            series: i,
+            price,
+            delta_improvement,
+            row_edits: vec![(i, vec![a, b])],
+            treated: GlitchMatrix::new(1, 1),
+        }
+    }
+
+    /// A seeded synthetic candidate set. Prices include 0, and every value
+    /// is a small dyadic rational, so sums are exact: every fifth
+    /// candidate repeats its predecessor and the two tie bit for bit. When
+    /// `poison` is set, one candidate carries a NaN edit, which
+    /// [`synthetic_score`] turns into a NaN distortion.
+    fn synthetic_candidates(seed: u64, poison: bool) -> Vec<Candidate> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut candidates: Vec<Candidate> = Vec::new();
+        for i in 0..12 {
+            let (price, delta_improvement, a, b) = match candidates.last() {
+                Some(prev) if i % 5 == 4 => (
+                    prev.price,
+                    prev.delta_improvement,
+                    prev.row_edits[0].1[0],
+                    prev.row_edits[0].1[1],
+                ),
+                _ => (
+                    rng.gen_range(0..4) as f64,
+                    rng.gen_range(0..9) as f64 * 0.25,
+                    rng.gen_range(0..9) as f64 - 4.0,
+                    rng.gen_range(0..2) as f64,
+                ),
+            };
+            let a = if poison && i == 6 { f64::NAN } else { a };
+            candidates.push(synthetic(i, price, delta_improvement, a, b));
+        }
+        candidates
+    }
+
+    /// A non-negative, non-submodular distortion of a synthetic edit set.
+    fn synthetic_score(edits: Vec<(usize, Vec<f64>)>) -> Result<f64> {
+        let (a, b) = edits
+            .iter()
+            .fold((0.0, 0.0), |(a, b), (_, v)| (a + v[0], b + v[1]));
+        Ok(0.5 * f64::abs(a) + 0.25 * b * b)
+    }
+
+    #[test]
+    fn pruned_greedy_matches_the_eager_oracle_on_synthetic_candidates() {
+        let (mut pruned_total, mut eager_total) = (0, 0);
+        for seed in 0..40 {
+            let candidates = synthetic_candidates(seed, seed % 4 == 0);
+            for weight in [0.0, 0.1, 0.5, 1e6] {
+                for max_budget in [0.0, 4.0, 12.0, 1e9] {
+                    let (mut pruned_scored, mut eager_scored) = (0, 0);
+                    let pruned = plan_trajectory(
+                        &candidates,
+                        SelectionPolicy::Greedy,
+                        &[],
+                        weight,
+                        max_budget,
+                        |edits| {
+                            pruned_scored += 1;
+                            synthetic_score(edits)
+                        },
+                    )
+                    .unwrap();
+                    let eager = plan_trajectory_eager(&candidates, weight, max_budget, |edits| {
+                        eager_scored += 1;
+                        synthetic_score(edits)
+                    })
+                    .unwrap();
+                    assert_eq!(
+                        pruned, eager,
+                        "seed {seed}, λ {weight}, budget {max_budget}"
+                    );
+                    assert!(
+                        pruned_scored <= eager_scored,
+                        "seed {seed}, λ {weight}, budget {max_budget}: \
+                         {pruned_scored} > {eager_scored} scores"
+                    );
+                    pruned_total += pruned_scored;
+                    eager_total += eager_scored;
+                }
+            }
+        }
+        assert!(pruned_total < eager_total);
+    }
+
+    #[test]
+    fn pruned_greedy_keeps_a_winner_whose_gain_meets_its_bound() {
+        // After buying candidate 0 (D = 1), candidate 1 cancels all
+        // distortion: its gain 0.75 + 1 equals its bound exactly and beats
+        // candidate 2, scanned first, by 2⁻⁴⁰. Any looser skip test would
+        // drop it and reorder the purchases.
+        let candidates = vec![
+            synthetic(0, 1.0, 3.0, 2.0, 0.0),
+            synthetic(1, 1.0, 0.75, -2.0, 0.0),
+            synthetic(2, 1.0, 1.75 - 2f64.powi(-40), 0.0, 0.0),
+        ];
+        let pruned = plan_trajectory(
+            &candidates,
+            SelectionPolicy::Greedy,
+            &[],
+            1.0,
+            1e9,
+            synthetic_score,
+        )
+        .unwrap();
+        assert_eq!(pruned, vec![0, 1, 2]);
+        assert_eq!(
+            plan_trajectory_eager(&candidates, 1.0, 1e9, synthetic_score).unwrap(),
+            pruned
+        );
+    }
+
+    #[test]
+    fn pruned_greedy_surfaces_only_errors_of_scored_candidates() {
+        // Candidate 1 cannot beat candidate 0 (bound 0 against gain 10 at
+        // equal prices), and after buying candidate 0 nothing is
+        // affordable: the pruned scan never scores it, the eager scan does.
+        let candidates = vec![
+            synthetic(0, 1.0, 10.0, 0.0, 0.0),
+            synthetic(1, 1.0, 0.0, 0.0, 0.0),
+        ];
+        let score = |edits: Vec<(usize, Vec<f64>)>| -> Result<f64> {
+            if edits.iter().any(|(row, _)| *row == 1) {
+                return Err(FrameworkError::Distortion("unscorable".into()));
+            }
+            Ok(0.0)
+        };
+        let pruned =
+            plan_trajectory(&candidates, SelectionPolicy::Greedy, &[], 0.1, 1.0, score).unwrap();
+        assert_eq!(pruned, vec![0]);
+        assert!(plan_trajectory_eager(&candidates, 0.1, 1.0, score).is_err());
+    }
+
+    #[test]
+    fn pruned_greedy_scores_fewer_candidates_on_the_fixture() {
+        let config = optimizer_config(SelectionPolicy::Greedy);
+        let prepared = Experiment::new(config.experiment.clone())
+            .prepare(&data())
+            .unwrap();
+        let transforms = prepared.transforms();
+        let index = GlitchIndex::new(config.experiment.weights);
+        let strategy = &config.strategies[0];
+        let (mut pruned_total, mut eager_total) = (0, 0);
+        for r in 0..config.experiment.replications {
+            let shared = share_replication(
+                prepared.replication(r),
+                transforms,
+                &config.experiment.metrics,
+            );
+            let model = (strategy.missing_treatment() == MissingTreatment::ModelImpute)
+                .then(|| shared.model_fit());
+            let candidates = build_candidates(
+                &shared.artifacts,
+                transforms,
+                &index,
+                &config.cost_model,
+                strategy,
+                0,
+                config.experiment.seed,
+                model,
+                shared.cache.rows(),
+                &shared.row_offsets,
+            );
+            let primary = &shared.kernels[0].prepared;
+            for weight in [0.1, 0.5] {
+                for max_budget in [40.0, 1e6] {
+                    let (mut pruned_scored, mut eager_scored) = (0, 0);
+                    let pruned = plan_trajectory(
+                        &candidates,
+                        SelectionPolicy::Greedy,
+                        &[],
+                        weight,
+                        max_budget,
+                        |edits| {
+                            pruned_scored += 1;
+                            primary.score_edits(&shared.cache, edits)
+                        },
+                    )
+                    .unwrap();
+                    let eager = plan_trajectory_eager(&candidates, weight, max_budget, |edits| {
+                        eager_scored += 1;
+                        primary.score_edits(&shared.cache, edits)
+                    })
+                    .unwrap();
+                    assert_eq!(pruned, eager, "r {r}, λ {weight}, budget {max_budget}");
+                    assert!(pruned_scored <= eager_scored);
+                    pruned_total += pruned_scored;
+                    eager_total += eager_scored;
+                }
+            }
+        }
+        assert!(
+            pruned_total < eager_total,
+            "pruned {pruned_total} vs eager {eager_total} scores"
+        );
     }
 
     #[test]

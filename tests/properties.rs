@@ -492,6 +492,51 @@ proptest! {
             }
         }
     }
+
+    /// Every kernel scores `≥ 0` (or returns an `Err`) on both paths: the
+    /// premise of the budget optimizer's exact gain bound. Covers
+    /// identical clouds, nearly equal clouds (one row nudged) and random
+    /// clouds.
+    #[test]
+    fn every_kernel_scores_are_non_negative(
+        seed in 0u64..5_000,
+        rows in 8usize..80,
+        nudge in 1e-12f64..1e-3,
+    ) {
+        use statistical_distortion::core::DistortionMetric;
+        use statistical_distortion::emd::{PatchedCloud, SignatureCache};
+
+        let base = kernel_cloud(seed, rows);
+        let other = kernel_cloud(seed ^ 0xC0FFEE, rows);
+        let mut nudged = base[0].clone();
+        nudged[0] += nudge;
+        let cache = SignatureCache::new(base.clone());
+        let edit_sets: Vec<Vec<(usize, Vec<f64>)>> = vec![
+            Vec::new(),
+            vec![(0, nudged)],
+            other.into_iter().enumerate().collect(),
+        ];
+        for metric in DistortionMetric::full_suite() {
+            let kernel = metric.kernel();
+            let prepared = kernel.prepare(&cache);
+            for edits in &edit_sets {
+                let patched = PatchedCloud::new(&cache, edits.clone());
+                let scores = [
+                    prepared.score_patch(&patched),
+                    kernel.score_rows(&base, &patched.materialize()),
+                ];
+                for score in scores.into_iter().flatten() {
+                    prop_assert!(
+                        score >= 0.0,
+                        "{} scored {} on {} edits",
+                        kernel.name(),
+                        score,
+                        edits.len()
+                    );
+                }
+            }
+        }
+    }
 }
 
 proptest! {
