@@ -475,6 +475,30 @@ mod tests {
     }
 
     #[test]
+    fn prepare_rejects_a_non_positive_sigma_multiplier() {
+        for k in [0.0, -1.0, f64::NAN] {
+            let mut c = small_config();
+            c.sigma_k = k;
+            let err = Experiment::new(c).prepare(&data()).unwrap_err();
+            assert!(
+                matches!(err, crate::FrameworkError::InvalidConfig(_)),
+                "sigma_k {k}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn prepare_rejects_constraints_beyond_the_attributes() {
+        let mut c = small_config();
+        c.constraints = ConstraintSet::paper_rules(0, 3); // the data has 3
+        let err = Experiment::new(c).prepare(&data()).unwrap_err();
+        assert!(
+            matches!(err, crate::FrameworkError::InvalidConfig(_)),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn full_cleaning_improves_glitch_score() {
         let strategies = [paper_strategy(5)];
         let result = Experiment::new(small_config())

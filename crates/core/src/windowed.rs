@@ -36,6 +36,7 @@
 //! bit-identity across thread counts).
 
 use crate::engine::{evaluate_unit, run_staged, share_replication, TaskExecutor};
+use crate::ideal::check_detection_config;
 use crate::{
     DistortionMetric, FrameworkError, MetricScore, ReplicationArtifacts, Result, StrategyOutcome,
     ThreadPoolExecutor,
@@ -363,6 +364,11 @@ impl WindowedExperiment {
             .iter()
             .map(DistortionMetric::name)
             .collect();
+        check_detection_config(
+            &self.config.constraints,
+            data.num_attributes(),
+            self.config.sigma_k,
+        )?;
         let num_windows = self.num_windows(data);
         if num_windows == 0 {
             return Err(FrameworkError::InvalidConfig(
@@ -951,6 +957,33 @@ mod tests {
             .run(&d, &[paper_strategy(1)])
             .unwrap_err();
         assert!(err.to_string().contains("topology"));
+    }
+
+    #[test]
+    fn run_with_rejects_a_non_positive_sigma_multiplier() {
+        let d = data();
+        for k in [0.0, -1.0, f64::NAN] {
+            let mut c = config();
+            c.sigma_k = k;
+            let err = WindowedExperiment::new(c)
+                .run_with(&d, &[paper_strategy(1)], &SerialExecutor)
+                .unwrap_err();
+            assert!(
+                matches!(err, FrameworkError::InvalidConfig(_)),
+                "sigma_k {k}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn run_with_rejects_constraints_beyond_the_attributes() {
+        let d = data();
+        let mut c = config();
+        c.constraints = ConstraintSet::paper_rules(0, 3); // the data has 3
+        let err = WindowedExperiment::new(c)
+            .run_with(&d, &[paper_strategy(1)], &SerialExecutor)
+            .unwrap_err();
+        assert!(matches!(err, FrameworkError::InvalidConfig(_)), "{err}");
     }
 
     #[test]

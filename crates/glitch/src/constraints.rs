@@ -1,4 +1,4 @@
-use sd_data::is_missing;
+use sd_data::{is_missing, TimeSeries};
 use serde::{Deserialize, Serialize};
 
 /// A declarative inconsistency rule over the attributes of one record.
@@ -48,32 +48,56 @@ impl Constraint {
     /// Missing values never violate value constraints (they are already
     /// *missing* glitches); only present values can be inconsistent.
     pub fn evaluate(&self, record: &[f64], flags: &mut Vec<usize>) {
+        let (attr, other) = self.operands();
+        if self.violated(record[attr], record[other]) {
+            flags.push(attr);
+            if self.flags_other() {
+                flags.push(other);
+            }
+        }
+    }
+
+    /// [`Constraint::evaluate`] over every record of `series` at once:
+    /// calls `flag(t, attr)` for each attribute the rule flags at time
+    /// `t`, reading the operand columns in place without allocating.
+    fn for_each_violation(&self, series: &TimeSeries, mut flag: impl FnMut(usize, usize)) {
+        let (attr, other) = self.operands();
+        let both = self.flags_other();
+        let columns = series.attribute(attr).iter().zip(series.attribute(other));
+        for (t, (&x, &y)) in columns.enumerate() {
+            if self.violated(x, y) {
+                flag(t, attr);
+                if both {
+                    flag(t, other);
+                }
+            }
+        }
+    }
+
+    /// The attributes the rule reads, `(attr, other)`; a single-attribute
+    /// rule reads `attr` twice.
+    fn operands(&self) -> (usize, usize) {
         match *self {
-            Constraint::NonNegative { attr } => {
-                let x = record[attr];
-                if !is_missing(x) && x < 0.0 {
-                    flags.push(attr);
-                }
-            }
-            Constraint::Range { attr, lo, hi } => {
-                let x = record[attr];
-                if !is_missing(x) && (x < lo || x > hi) {
-                    flags.push(attr);
-                }
-            }
-            Constraint::NotPopulatedIf { attr, other } => {
-                if !is_missing(record[attr]) && is_missing(record[other]) {
-                    flags.push(attr);
-                }
-            }
-            Constraint::GreaterThan { attr, other } => {
-                let a = record[attr];
-                let b = record[other];
-                if !is_missing(a) && !is_missing(b) && a <= b {
-                    flags.push(attr);
-                    flags.push(other);
-                }
-            }
+            Constraint::NonNegative { attr } | Constraint::Range { attr, .. } => (attr, attr),
+            Constraint::NotPopulatedIf { attr, other }
+            | Constraint::GreaterThan { attr, other } => (attr, other),
+        }
+    }
+
+    /// Whether a violation flags `other` as well as `attr`.
+    fn flags_other(&self) -> bool {
+        matches!(self, Constraint::GreaterThan { .. })
+    }
+
+    /// Whether the operand values `x` (of `attr`) and `y` (of `other`)
+    /// violate the rule.
+    #[inline]
+    fn violated(&self, x: f64, y: f64) -> bool {
+        match *self {
+            Constraint::NonNegative { .. } => !is_missing(x) && x < 0.0,
+            Constraint::Range { lo, hi, .. } => !is_missing(x) && (x < lo || x > hi),
+            Constraint::NotPopulatedIf { .. } => !is_missing(x) && is_missing(y),
+            Constraint::GreaterThan { .. } => !is_missing(x) && !is_missing(y) && x <= y,
         }
     }
 
@@ -141,6 +165,21 @@ impl ConstraintSet {
         flags.sort_unstable();
         flags.dedup();
         flags
+    }
+
+    /// [`ConstraintSet::violations`] over every record of `series` at
+    /// once: calls `flag(t, attr)` for each flag, constraint by constraint.
+    /// An attribute flagged by several constraints at one `t` is reported
+    /// once per constraint, so callers must treat the calls as set
+    /// insertions.
+    pub(crate) fn for_each_violation(
+        &self,
+        series: &TimeSeries,
+        mut flag: impl FnMut(usize, usize),
+    ) {
+        for c in &self.constraints {
+            c.for_each_violation(series, &mut flag);
+        }
     }
 
     /// The number of attributes a record must have for safe evaluation.

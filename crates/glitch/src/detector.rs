@@ -33,19 +33,55 @@ impl OutlierDetector {
             ideal.num_attributes(),
             "one transform per attribute required"
         );
+        Self::fit_series(ideal.series(), transforms, k)
+    }
+
+    /// [`OutlierDetector::fit`] over borrowed series, pooled in iteration
+    /// order, so a subset of a data set is fitted without copying it.
+    ///
+    /// One pass over the cells feeds a per-attribute Welford accumulator
+    /// that repeats `Summary::from_slice`'s `n`/`mean`/`m2` updates term
+    /// for term. That summary's skewness and kurtosis updates read `mean`
+    /// and `m2` but never write them, so the limits and moments here are
+    /// bit-identical to those of a [`Summary`] of the pooled, transformed
+    /// values.
+    ///
+    /// # Panics
+    ///
+    /// If `k` is not positive, or a series has fewer attributes than
+    /// `transforms`.
+    pub fn fit_series<'a>(
+        ideal: impl IntoIterator<Item = &'a TimeSeries>,
+        transforms: &[AttributeTransform],
+        k: f64,
+    ) -> Self {
         assert!(k > 0.0, "sigma multiplier must be positive");
-        let mut limits = Vec::with_capacity(ideal.num_attributes());
-        let mut moments = Vec::with_capacity(ideal.num_attributes());
-        for (attr, tf) in transforms.iter().enumerate() {
-            let mut values = ideal.pooled_attribute(attr);
-            tf.forward_slice(&mut values);
-            let summary = Summary::from_slice(&values);
-            if summary.is_empty() {
+        let mut acc = vec![Welford::default(); transforms.len()];
+        for series in ideal {
+            // Time-major: consecutive pushes go to different attributes,
+            // whose update chains are independent and so overlap in the
+            // pipeline. Each accumulator still sees its values in order.
+            for t in 0..series.len() {
+                for (attr, (tf, w)) in transforms.iter().zip(acc.iter_mut()).enumerate() {
+                    // `forward` passes NaN (missing) through; skipping NaN
+                    // after it is what `Summary::from_slice` does.
+                    let y = tf.forward(series.get(attr, t));
+                    if !y.is_nan() {
+                        w.push(y);
+                    }
+                }
+            }
+        }
+        let mut limits = Vec::with_capacity(acc.len());
+        let mut moments = Vec::with_capacity(acc.len());
+        for w in &acc {
+            if w.n == 0 {
                 limits.push((f64::NEG_INFINITY, f64::INFINITY));
                 moments.push((0.0, f64::INFINITY));
             } else {
-                limits.push(summary.sigma_limits(k));
-                moments.push((summary.mean, summary.std_dev()));
+                let std = w.variance().sqrt();
+                limits.push((w.mean - k * std, w.mean + k * std));
+                moments.push((w.mean, std));
             }
         }
         OutlierDetector {
@@ -91,6 +127,36 @@ impl OutlierDetector {
         }
         let z = ((self.transforms[attr].forward(x) - mean) / std).abs();
         Some(2.0 * (1.0 - standard_normal_cdf(z)))
+    }
+}
+
+/// Welford running mean and second central moment, updated exactly as
+/// `Summary::from_slice` updates its `n`, `mean` and `m2`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Welford {
+    n: usize,
+    mean: f64,
+    m2: f64,
+}
+
+impl Welford {
+    #[inline]
+    fn push(&mut self, x: f64) {
+        self.n += 1;
+        let nf = self.n as f64;
+        let delta = x - self.mean;
+        let delta_n = delta / nf;
+        self.mean += delta_n;
+        self.m2 += delta * delta_n * (nf - 1.0);
+    }
+
+    /// Sample variance (denominator `n - 1`; 0 when `n < 2`).
+    fn variance(&self) -> f64 {
+        if self.n >= 2 {
+            self.m2 / (self.n as f64 - 1.0)
+        } else {
+            0.0
+        }
     }
 }
 
@@ -255,33 +321,53 @@ impl GlitchDetector {
 
     /// Annotates one series.
     pub fn detect_series(&self, series: &TimeSeries) -> GlitchMatrix {
-        let v = series.num_attributes();
-        let mut g = GlitchMatrix::new(v, series.len());
-        let mut record = vec![0.0; v];
-        for t in 0..series.len() {
-            for (a, slot) in record.iter_mut().enumerate() {
-                *slot = series.get(a, t);
-            }
-            // Missing.
-            for (a, &x) in record.iter().enumerate() {
-                if x.is_nan() {
-                    g.set(a, GlitchType::Missing, t);
+        let mut g = GlitchMatrix::new(series.num_attributes(), series.len());
+        for glitch in GlitchType::ALL {
+            self.scan(series, glitch, |t, a| g.set(a, glitch, t));
+        }
+        g
+    }
+
+    /// The number of time steps of `series` where `glitch` is flagged on
+    /// at least one attribute: `detect_series(series).count_records(glitch)`
+    /// without building the matrix, and scanning for `glitch` alone.
+    pub fn count_records(&self, series: &TimeSeries, glitch: GlitchType) -> usize {
+        let mut flagged = vec![false; series.len()];
+        self.scan(series, glitch, |t, _| flagged[t] = true);
+        flagged.iter().filter(|&&f| f).count()
+    }
+
+    /// The one cell scan behind [`GlitchDetector::detect_series`] and
+    /// [`GlitchDetector::count_records`]: calls `flag(t, attr)` for every
+    /// cell of `series` flagged with `glitch`. Missing and outlier cells
+    /// are found column by column, inconsistent ones constraint by
+    /// constraint, so an inconsistent cell is reported once per constraint
+    /// it violates. Missing and constraint checks read raw values, the
+    /// outlier check working-space values through the fitted detector.
+    fn scan(&self, series: &TimeSeries, glitch: GlitchType, mut flag: impl FnMut(usize, usize)) {
+        match glitch {
+            GlitchType::Missing => {
+                for a in 0..series.num_attributes() {
+                    for (t, x) in series.attribute(a).iter().enumerate() {
+                        if x.is_nan() {
+                            flag(t, a);
+                        }
+                    }
                 }
             }
-            // Inconsistent.
-            for a in self.constraints.violations(&record) {
-                g.set(a, GlitchType::Inconsistent, t);
-            }
-            // Outliers.
-            if let Some(od) = &self.outliers {
-                for (a, &x) in record.iter().enumerate() {
-                    if od.is_outlier(a, x) {
-                        g.set(a, GlitchType::Outlier, t);
+            GlitchType::Inconsistent => self.constraints.for_each_violation(series, flag),
+            GlitchType::Outlier => {
+                if let Some(od) = &self.outliers {
+                    for a in 0..series.num_attributes() {
+                        for (t, &x) in series.attribute(a).iter().enumerate() {
+                            if od.is_outlier(a, x) {
+                                flag(t, a);
+                            }
+                        }
                     }
                 }
             }
         }
-        g
     }
 
     /// Annotates every series of a data set (aligned by index).

@@ -733,3 +733,164 @@ proptest! {
         );
     }
 }
+
+/// A random data set for the detection properties: 1–4 series of 0–50
+/// steps over 3 attributes, values spanning zero (so the log floor and the
+/// sign constraints bite), with NaN sprinkled at a per-set rate and
+/// occasional spikes.
+fn glitchy_dataset(seed: u64) -> statistical_distortion::data::Dataset {
+    use rand::Rng;
+    use statistical_distortion::data::{Dataset, NodeId, TimeSeries};
+
+    let mut rng = proptest::seed_for("glitchy_dataset", seed);
+    let missing_rate = [0.0, 0.05, 0.3, 0.9][rng.gen_range(0..4usize)];
+    let series = (0..rng.gen_range(1..5u32))
+        .map(|i| {
+            let len = rng.gen_range(0..51usize);
+            let mut s = TimeSeries::new(NodeId::new(0, 0, i), 3, len);
+            for a in 0..3 {
+                let scale = [100.0, 1.0, 1e4][a];
+                for t in 0..len {
+                    let x = if rng.gen_range(0.0..1.0) < missing_rate {
+                        f64::NAN
+                    } else if rng.gen_range(0.0..1.0) < 0.03 {
+                        scale * 50.0
+                    } else {
+                        scale * rng.gen_range(-0.2..1.2)
+                    };
+                    s.set(a, t, x);
+                }
+            }
+            s
+        })
+        .collect();
+    Dataset::new(vec!["a", "b", "c"], series).unwrap()
+}
+
+/// Standard normal CDF as the Abramowitz–Stegun 7.1.26 erf approximation,
+/// the formula behind `OutlierDetector::p_value`.
+fn normal_cdf(z: f64) -> f64 {
+    let x = z / std::f64::consts::SQRT_2;
+    let t = 1.0 / (1.0 + 0.3275911 * x.abs());
+    let poly = t
+        * (0.254829592
+            + t * (-0.284496736 + t * (1.421413741 + t * (-1.453152027 + t * 1.061405429))));
+    let erf = 1.0 - poly * (-x * x).exp();
+    0.5 * (1.0 + if x < 0.0 { -erf } else { erf })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The single-pass Welford fit must reproduce, bit for bit, the limits
+    /// and p-values built from `Summary::from_slice` over the pooled,
+    /// transformed values — on random, NaN-sprinkled and log-transformed
+    /// columns, pooled from a whole data set or from borrowed series.
+    #[test]
+    fn outlier_fit_is_bit_identical_to_summary_limits(
+        seed in 0u64..100_000,
+        log_mask in 0u32..8,
+        k in 0.5f64..4.0,
+    ) {
+        use statistical_distortion::glitch::OutlierDetector;
+        use statistical_distortion::stats::{AttributeTransform, Summary};
+
+        let data = glitchy_dataset(seed);
+        let transforms: Vec<AttributeTransform> = (0..3)
+            .map(|a| {
+                if log_mask >> a & 1 == 1 {
+                    AttributeTransform::log()
+                } else {
+                    AttributeTransform::Identity
+                }
+            })
+            .collect();
+        let fitted = OutlierDetector::fit(&data, &transforms, k);
+        let borrowed = OutlierDetector::fit_series(data.series().iter().rev(), &transforms, k);
+        let reversed: Vec<usize> = (0..data.num_series()).rev().collect();
+        let copied = OutlierDetector::fit(&data.subset(&reversed), &transforms, k);
+        for (attr, tf) in transforms.iter().enumerate() {
+            let mut values = data.pooled_attribute(attr);
+            tf.forward_slice(&mut values);
+            let summary = Summary::from_slice(&values);
+            let (lo, hi) = if summary.is_empty() {
+                (f64::NEG_INFINITY, f64::INFINITY)
+            } else {
+                summary.sigma_limits(k)
+            };
+            let (fit_lo, fit_hi) = fitted.limits()[attr];
+            prop_assert_eq!(fit_lo.to_bits(), lo.to_bits(), "lower limit, attr {}", attr);
+            prop_assert_eq!(fit_hi.to_bits(), hi.to_bits(), "upper limit, attr {}", attr);
+            let bits = |(lo, hi): (f64, f64)| (lo.to_bits(), hi.to_bits());
+            prop_assert_eq!(bits(borrowed.limits()[attr]), bits(copied.limits()[attr]));
+
+            let std = summary.std_dev();
+            for probe in [0.0, 1e-9, 0.5, 3.0, 75.0, 6e3, -40.0, f64::INFINITY] {
+                let want = if summary.is_empty() || !std.is_finite() || std <= 0.0 {
+                    1.0
+                } else {
+                    let z = ((tf.forward(probe) - summary.mean) / std).abs();
+                    2.0 * (1.0 - normal_cdf(z))
+                };
+                let got = fitted.p_value(attr, probe);
+                prop_assert_eq!(got.map(f64::to_bits), Some(want.to_bits()),
+                    "p-value of {} on attr {}", probe, attr);
+            }
+            prop_assert_eq!(fitted.p_value(attr, f64::NAN), None);
+        }
+    }
+
+    /// The matrix-free record counters agree with the glitch matrix for
+    /// every type, and the column-wise constraint scan flags exactly the
+    /// cells `ConstraintSet::violations` flags record by record.
+    #[test]
+    fn record_counts_match_the_glitch_matrix(
+        seed in 0u64..100_000,
+        rule_mask in 0u32..16,
+        with_outliers in 0u32..2,
+    ) {
+        use statistical_distortion::glitch::{
+            Constraint, ConstraintSet, GlitchDetector, OutlierDetector,
+        };
+        use statistical_distortion::stats::AttributeTransform;
+
+        let data = glitchy_dataset(seed);
+        let rules = [
+            Constraint::NonNegative { attr: 0 },
+            Constraint::Range { attr: 1, lo: 0.0, hi: 1.0 },
+            Constraint::NotPopulatedIf { attr: 0, other: 2 },
+            Constraint::GreaterThan { attr: 2, other: 0 },
+        ];
+        let constraints = ConstraintSet::new(
+            (0..4).filter(|i| rule_mask >> i & 1 == 1).map(|i| rules[i].clone()).collect(),
+        );
+        let transforms = [
+            AttributeTransform::log(),
+            AttributeTransform::Identity,
+            AttributeTransform::Identity,
+        ];
+        let outliers = (with_outliers == 1)
+            .then(|| OutlierDetector::fit(&glitchy_dataset(seed + 1), &transforms, 2.0));
+        let detector = GlitchDetector::new(constraints.clone(), outliers);
+        for series in data.series() {
+            let matrix = detector.detect_series(series);
+            for g in GlitchType::ALL {
+                prop_assert_eq!(detector.count_records(series, g), matrix.count_records(g),
+                    "{} records", g);
+            }
+            for t in 0..series.len() {
+                let record: Vec<f64> = (0..3).map(|a| series.get(a, t)).collect();
+                let flagged = constraints.violations(&record);
+                for (a, &x) in record.iter().enumerate() {
+                    prop_assert_eq!(matrix.get(a, GlitchType::Inconsistent, t),
+                        flagged.contains(&a), "attr {} at t {}", a, t);
+                    prop_assert_eq!(matrix.get(a, GlitchType::Missing, t), x.is_nan());
+                    let outlier = detector
+                        .outlier_detector()
+                        .is_some_and(|od| od.is_outlier(a, x));
+                    prop_assert_eq!(matrix.get(a, GlitchType::Outlier, t), outlier);
+                }
+            }
+        }
+    }
+}
