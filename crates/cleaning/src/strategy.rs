@@ -109,27 +109,31 @@ impl ModelFit {
             glitches.len(),
             "glitch annotations must align with series"
         );
-        let v = base.num_attributes();
         let transforms = ctx.transforms();
+        let v = transforms.len();
         let selected = |i: usize| mask.is_none_or(|m| m[i]);
-        let mut rows = Vec::new();
+        // One flat row-major buffer of working-space rows, NaN for treated
+        // cells: the layout `MvnModel::fit` sweeps.
+        let num_rows: usize = (0..base.num_series())
+            .filter(|&i| selected(i))
+            .map(|i| base.series_at(i).len())
+            .sum();
+        let mut rows = Vec::with_capacity(num_rows * v);
         for (i, series) in base.series().iter().enumerate() {
             if !selected(i) {
                 continue;
             }
             let g = &glitches[i];
             for t in 0..series.len() {
-                let mut row = Vec::with_capacity(v);
                 for (a, tf) in transforms.iter().enumerate() {
                     let treated =
                         g.get(a, GlitchType::Missing, t) || g.get(a, GlitchType::Inconsistent, t);
                     let x = series.get(a, t);
-                    row.push(if treated { f64::NAN } else { tf.forward(x) });
+                    rows.push(if treated { f64::NAN } else { tf.forward(x) });
                 }
-                rows.push(row);
             }
         }
-        match MvnImputer::fit(&rows) {
+        match MvnImputer::fit_flat(&rows, v) {
             Ok(imp) => ModelFit {
                 imputer: Some(imp),
                 failed: false,
@@ -150,6 +154,15 @@ impl ModelFit {
     pub fn failed(&self) -> bool {
         self.failed
     }
+}
+
+/// A strategy's missing-value treatment with its state resolved before
+/// the cleaning pass: the model-imputing arm carries the fit it imputes
+/// with, so the pass cannot run without one.
+enum MissingPass<'m> {
+    Ignore,
+    Mean(MeanImputer),
+    Model(&'m ModelFit),
 }
 
 /// Uniform cell access over the two cleaning targets: a dataset rewritten
@@ -224,12 +237,9 @@ impl CellStore for PatchStore<'_> {
         }
     }
     fn set(&mut self, series: usize, attr: usize, t: usize, value: f64) {
-        let slot = &mut self.patched[series];
-        if slot.is_none() {
-            *slot = Some(self.base.series_at(series).clone());
-        }
-        slot.as_mut()
-            .expect("just materialized")
+        let base = self.base;
+        self.patched[series]
+            .get_or_insert_with(|| base.series_at(series).clone())
             .set(attr, t, value);
         self.patch.record(series, attr, t, value);
     }
@@ -289,16 +299,9 @@ impl CompositeStrategy {
         if let Some(m) = mask {
             assert_eq!(m.len(), data.num_series(), "mask must align with series");
         }
-        let model = (self.missing == MissingTreatment::ModelImpute)
-            .then(|| ModelFit::fit(data, glitches, ctx, mask));
-        self.clean_in(
-            &mut DatasetStore(data),
-            glitches,
-            ctx,
-            rng,
-            mask,
-            model.as_ref(),
-        )
+        let mut fitted = None;
+        let pass = self.missing_pass(data, glitches, ctx, mask, None, &mut fitted);
+        self.clean_in(&mut DatasetStore(data), glitches, ctx, rng, mask, pass)
     }
 
     /// Patch-recording variant of [`CompositeStrategy::clean`]: instead of
@@ -351,16 +354,33 @@ impl CompositeStrategy {
         if let Some(m) = mask {
             assert_eq!(m.len(), base.num_series(), "mask must align with series");
         }
-        let fitted;
-        let model = if self.missing == MissingTreatment::ModelImpute && model.is_none() {
-            fitted = ModelFit::fit(base, glitches, ctx, mask);
-            Some(&fitted)
-        } else {
-            model
-        };
+        let mut fitted = None;
+        let pass = self.missing_pass(base, glitches, ctx, mask, model, &mut fitted);
         let mut store = PatchStore::new(base);
-        let outcome = self.clean_in(&mut store, glitches, ctx, rng, mask, model);
+        let outcome = self.clean_in(&mut store, glitches, ctx, rng, mask, pass);
         (store.into_view(), outcome)
+    }
+
+    /// Resolves the missing-value treatment before the cleaning pass runs:
+    /// a model-imputing strategy takes the caller's `shared` fit, or fits
+    /// one on the masked series into `fitted`.
+    fn missing_pass<'m>(
+        &self,
+        base: &Dataset,
+        glitches: &[GlitchMatrix],
+        ctx: &CleaningContext,
+        mask: Option<&[bool]>,
+        shared: Option<&'m ModelFit>,
+        fitted: &'m mut Option<ModelFit>,
+    ) -> MissingPass<'m> {
+        match self.missing {
+            MissingTreatment::Ignore => MissingPass::Ignore,
+            MissingTreatment::MeanImpute => MissingPass::Mean(MeanImputer::from_context(ctx)),
+            MissingTreatment::ModelImpute => MissingPass::Model(match shared {
+                Some(fit) => fit,
+                None => fitted.insert(ModelFit::fit(base, glitches, ctx, mask)),
+            }),
+        }
     }
 
     /// The cleaning pass, written once against [`CellStore`].
@@ -371,28 +391,15 @@ impl CompositeStrategy {
         ctx: &CleaningContext,
         rng: &mut dyn RngCore,
         mask: Option<&[bool]>,
-        model: Option<&ModelFit>,
+        missing: MissingPass<'_>,
     ) -> CleaningOutcome {
         let v = store.num_attributes();
         let transforms = ctx.transforms().to_vec();
         let selected = |i: usize| mask.is_none_or(|m| m[i]);
 
-        let mut outcome = CleaningOutcome::default();
-
-        let imputer = if self.missing == MissingTreatment::ModelImpute {
-            let fit = model.expect("model-imputing strategies receive a ModelFit");
-            if fit.failed() {
-                outcome.model_fit_failed = true;
-            }
-            fit.imputer()
-        } else {
-            None
-        };
-
-        let mean_imputer = if self.missing == MissingTreatment::MeanImpute {
-            Some(MeanImputer::from_context(ctx))
-        } else {
-            None
+        let mut outcome = CleaningOutcome {
+            model_fit_failed: matches!(missing, MissingPass::Model(fit) if fit.failed()),
+            ..CleaningOutcome::default()
         };
         let winsorizer = if self.outliers == OutlierTreatment::Winsorize {
             Some(Winsorizer::from_context(ctx))
@@ -411,14 +418,14 @@ impl CompositeStrategy {
             for t in 0..store.series_len(i) {
                 // Which cells does the missing-treatment replace?
                 for (a, slot) in treat.iter_mut().enumerate() {
-                    *slot = self.missing != MissingTreatment::Ignore
+                    *slot = !matches!(missing, MissingPass::Ignore)
                         && (g.get(a, GlitchType::Missing, t)
                             || g.get(a, GlitchType::Inconsistent, t));
                 }
 
-                match self.missing {
-                    MissingTreatment::ModelImpute => {
-                        if let Some(imp) = imputer {
+                match &missing {
+                    MissingPass::Model(fit) => {
+                        if let Some(imp) = fit.imputer() {
                             for (a, tf) in transforms.iter().enumerate() {
                                 wrec[a] = if treat[a] {
                                     f64::NAN
@@ -442,17 +449,15 @@ impl CompositeStrategy {
                             }
                         }
                     }
-                    MissingTreatment::MeanImpute => {
-                        if let Some(mi) = &mean_imputer {
-                            for a in 0..v {
-                                if treat[a] {
-                                    store.set(i, a, t, mi.replacement(a));
-                                    series_outcome.mean_imputed_cells += 1;
-                                }
+                    MissingPass::Mean(mi) => {
+                        for a in 0..v {
+                            if treat[a] {
+                                store.set(i, a, t, mi.replacement(a));
+                                series_outcome.mean_imputed_cells += 1;
                             }
                         }
                     }
-                    MissingTreatment::Ignore => {}
+                    MissingPass::Ignore => {}
                 }
 
                 // Winsorize by value: clamp *any* present cell outside the
@@ -780,5 +785,78 @@ mod tests {
         let mut data = f.dirty.clone();
         let mut rng = StdRng::seed_from_u64(1);
         paper_strategy(3).clean(&mut data, &[], &f.ctx, &mut rng);
+    }
+
+    /// `ModelFit::fit` against the per-row oracle on netsim harness data:
+    /// a replication-sized dirty sample (100 series × 170 records, paper
+    /// transforms), unmasked and under the cost sweep's fraction masks.
+    #[test]
+    fn model_fit_is_bit_identical_to_the_row_oracle_on_harness_data() {
+        use crate::mi::oracle;
+        use sd_glitch::{GlitchIndex, GlitchWeights};
+
+        for seed in [1, 2] {
+            let data = sd_netsim::generate(&sd_netsim::NetsimConfig::harness_scale(seed)).dataset;
+            let sample = data.subset(&(0..100).map(|i| i * 7 + 3).collect::<Vec<_>>());
+            let transforms = [
+                AttributeTransform::log(),
+                AttributeTransform::Identity,
+                AttributeTransform::Identity,
+            ];
+            let detector = GlitchDetector::new(
+                ConstraintSet::paper_rules(0, 2),
+                Some(OutlierDetector::fit(&data, &transforms, 3.0)),
+            );
+            let glitches = detector.detect_dataset(&sample);
+            let ctx = CleaningContext::fit(&data, &transforms, 3.0);
+            let ranked = GlitchIndex::new(GlitchWeights::paper()).rank_dirtiest(&glitches);
+
+            let mut masks = vec![None];
+            for fraction in [0.0, 0.2, 0.5, 1.0] {
+                let mut mask = vec![false; sample.num_series()];
+                let count = (fraction * ranked.len() as f64).round() as usize;
+                for &i in &ranked[..count] {
+                    mask[i] = true;
+                }
+                masks.push(Some(mask));
+            }
+            for mask in &masks {
+                let selected = |i: usize| mask.as_ref().is_none_or(|m| m[i]);
+                let mut rows = Vec::new();
+                for (i, series) in sample.series().iter().enumerate() {
+                    if !selected(i) {
+                        continue;
+                    }
+                    for t in 0..series.len() {
+                        let row = (0..3).map(|a| {
+                            let treated = glitches[i].get(a, GlitchType::Missing, t)
+                                || glitches[i].get(a, GlitchType::Inconsistent, t);
+                            if treated {
+                                f64::NAN
+                            } else {
+                                transforms[a].forward(series.get(a, t))
+                            }
+                        });
+                        rows.push(row.collect::<Vec<_>>());
+                    }
+                }
+                let what = format!(
+                    "seed {seed}, {} series",
+                    (0..sample.num_series()).filter(|&i| selected(i)).count()
+                );
+                if mask.is_none() {
+                    let incomplete = rows.iter().filter(|r| r.iter().any(|x| x.is_nan()));
+                    assert!(incomplete.count() > 0, "seed {seed}: no incomplete rows");
+                }
+                let fit = ModelFit::fit(&sample, &glitches, &ctx, mask.as_deref());
+                match oracle::fit_rows(&rows, 50, 1e-8) {
+                    Ok(want) => {
+                        let got = fit.imputer().expect("oracle fitted").model();
+                        oracle::assert_same_bits(got, &want, &what);
+                    }
+                    Err(_) => assert!(fit.failed(), "{what}"),
+                }
+            }
+        }
     }
 }

@@ -169,6 +169,15 @@ impl WindowedConfig {
             })
             .collect()
     }
+
+    /// Rejects detector settings that would otherwise panic inside window
+    /// detection: a σ multiplier that is not positive (zero, negative or
+    /// NaN), and a constraint naming an attribute beyond `num_attributes`.
+    /// [`WindowedExperiment::run_with`] and the streaming service's launch
+    /// both run this check.
+    pub fn check_detection(&self, num_attributes: usize) -> Result<()> {
+        check_detection_config(&self.constraints, num_attributes, self.sigma_k)
+    }
 }
 
 /// One `(window, strategy)` evaluation — a point on a strategy's
@@ -364,11 +373,7 @@ impl WindowedExperiment {
             .iter()
             .map(DistortionMetric::name)
             .collect();
-        check_detection_config(
-            &self.config.constraints,
-            data.num_attributes(),
-            self.config.sigma_k,
-        )?;
+        self.config.check_detection(data.num_attributes())?;
         let num_windows = self.num_windows(data);
         if num_windows == 0 {
             return Err(FrameworkError::InvalidConfig(

@@ -68,6 +68,10 @@ pub fn covariance_matrix(rows: &[Vec<f64>]) -> Result<Matrix> {
 /// Pairwise-complete covariance matrix for rows that may contain NaN
 /// (missing) entries.
 ///
+/// `rows` holds the observations row-major: `rows.len() / v` rows of `v`
+/// attributes each, one contiguous buffer (the imputation fit writes its
+/// working-space rows straight into it, with no per-row allocation).
+///
 /// Each entry `(i, j)` is estimated over the rows where *both* attributes
 /// are present, centred on pairwise means. This is the standard starting
 /// estimate for EM over multivariate-normal data with missing values; the
@@ -77,27 +81,21 @@ pub fn covariance_matrix(rows: &[Vec<f64>]) -> Result<Matrix> {
 ///
 /// Returns the covariance matrix together with the vector of per-attribute
 /// means over present values.
-pub fn pairwise_covariance_matrix(rows: &[Vec<f64>]) -> Result<(Matrix, Vec<f64>)> {
-    if rows.is_empty() {
+pub fn pairwise_covariance_matrix(rows: &[f64], v: usize) -> Result<(Matrix, Vec<f64>)> {
+    if rows.is_empty() || v == 0 {
         return Err(LinalgError::Empty);
     }
-    let v = rows[0].len();
-    if v == 0 {
-        return Err(LinalgError::Empty);
-    }
-    for (i, row) in rows.iter().enumerate() {
-        if row.len() != v {
-            return Err(LinalgError::DimensionMismatch {
-                expected: format!("row of length {v}"),
-                got: format!("row {i} of length {}", row.len()),
-            });
-        }
+    if rows.len() % v != 0 {
+        return Err(LinalgError::DimensionMismatch {
+            expected: format!("a multiple of {v} values"),
+            got: format!("{} values", rows.len()),
+        });
     }
 
     // Per-attribute means over present (non-NaN) values.
     let mut mean = vec![0.0; v];
     let mut count = vec![0usize; v];
-    for row in rows {
+    for row in rows.chunks_exact(v) {
         for (k, &x) in row.iter().enumerate() {
             if x.is_finite() {
                 mean[k] += x;
@@ -117,7 +115,7 @@ pub fn pairwise_covariance_matrix(rows: &[Vec<f64>]) -> Result<(Matrix, Vec<f64>
 
     let mut cov = Matrix::zeros(v, v);
     let mut pair_n = vec![0usize; v * v];
-    for row in rows {
+    for row in rows.chunks_exact(v) {
         for i in 0..v {
             let xi = row[i];
             if !xi.is_finite() {
@@ -194,7 +192,7 @@ mod tests {
             })
             .collect();
         let full = covariance_matrix(&rows).unwrap();
-        let (pair, mean) = pairwise_covariance_matrix(&rows).unwrap();
+        let (pair, mean) = pairwise_covariance_matrix(&rows.concat(), 3).unwrap();
         assert!(full.max_abs_diff(&pair).unwrap() < 1e-12);
         let direct_mean = mean_vector(&rows).unwrap();
         for (a, b) in mean.iter().zip(&direct_mean) {
@@ -204,13 +202,8 @@ mod tests {
 
     #[test]
     fn pairwise_tolerates_missing_values() {
-        let rows = vec![
-            vec![1.0, f64::NAN],
-            vec![2.0, 4.0],
-            vec![3.0, 6.0],
-            vec![f64::NAN, 8.0],
-        ];
-        let (cov, mean) = pairwise_covariance_matrix(&rows).unwrap();
+        let rows = [1.0, f64::NAN, 2.0, 4.0, 3.0, 6.0, f64::NAN, 8.0];
+        let (cov, mean) = pairwise_covariance_matrix(&rows, 2).unwrap();
         // Attribute 0 mean over {1,2,3} = 2; attribute 1 over {4,6,8} = 6.
         assert!((mean[0] - 2.0).abs() < 1e-12);
         assert!((mean[1] - 6.0).abs() < 1e-12);
@@ -221,15 +214,19 @@ mod tests {
 
     #[test]
     fn pairwise_with_entirely_missing_attribute() {
-        let rows = vec![vec![1.0, f64::NAN], vec![2.0, f64::NAN]];
-        let (cov, mean) = pairwise_covariance_matrix(&rows).unwrap();
+        let rows = [1.0, f64::NAN, 2.0, f64::NAN];
+        let (cov, mean) = pairwise_covariance_matrix(&rows, 2).unwrap();
         assert_eq!(mean[1], 0.0);
         assert_eq!(cov[(1, 1)], 0.0);
     }
 
     #[test]
     fn pairwise_rejects_empty() {
-        assert!(pairwise_covariance_matrix(&[]).is_err());
-        assert!(pairwise_covariance_matrix(&[vec![]]).is_err());
+        assert!(pairwise_covariance_matrix(&[], 2).is_err());
+        assert!(pairwise_covariance_matrix(&[1.0, 2.0], 0).is_err());
+        assert!(matches!(
+            pairwise_covariance_matrix(&[1.0, 2.0, 3.0], 2),
+            Err(LinalgError::DimensionMismatch { .. })
+        ));
     }
 }

@@ -133,6 +133,7 @@ impl ServeConfig {
                 "rows must carry at least one attribute".into(),
             ));
         }
+        self.windowed.check_detection(self.attributes.len())?;
         if nodes.is_empty() {
             return Err(FrameworkError::InvalidConfig(
                 "a streaming service needs at least one node".into(),

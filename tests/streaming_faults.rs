@@ -230,3 +230,45 @@ fn launch_rejects_invalid_configurations() {
         Err(FrameworkError::InvalidConfig(_))
     ));
 }
+
+/// A zero σ multiplier would panic inside every window's detector; launch
+/// rejects it, as `WindowedExperiment::run_with` does.
+#[test]
+fn launch_rejects_a_zero_sigma_multiplier() {
+    let data = generate(&NetsimConfig::small(3)).dataset;
+    let mut config = WindowedConfig::paper_default(20, 10, 3);
+    config.sigma_k = 0.0;
+    let serve = ServeConfig::new(config, attributes_of(&data));
+    assert!(matches!(
+        StreamingService::launch(serve, nodes_of(&data), vec![paper_strategy(1)]),
+        Err(FrameworkError::InvalidConfig(_))
+    ));
+}
+
+/// A NaN σ multiplier is rejected at launch too.
+#[test]
+fn launch_rejects_a_nan_sigma_multiplier() {
+    let data = generate(&NetsimConfig::small(3)).dataset;
+    let mut config = WindowedConfig::paper_default(20, 10, 3);
+    config.sigma_k = f64::NAN;
+    let serve = ServeConfig::new(config, attributes_of(&data));
+    assert!(matches!(
+        StreamingService::launch(serve, nodes_of(&data), vec![paper_strategy(1)]),
+        Err(FrameworkError::InvalidConfig(_))
+    ));
+}
+
+/// A constraint naming an attribute the rows do not carry is rejected at
+/// launch instead of panicking in an evaluator.
+#[test]
+fn launch_rejects_constraints_beyond_the_attributes() {
+    let data = generate(&NetsimConfig::small(3)).dataset;
+    let mut config = WindowedConfig::paper_default(20, 10, 3);
+    let beyond = attributes_of(&data).len();
+    config.constraints = ConstraintSet::new(vec![Constraint::NonNegative { attr: beyond }]);
+    let serve = ServeConfig::new(config, attributes_of(&data));
+    assert!(matches!(
+        StreamingService::launch(serve, nodes_of(&data), vec![paper_strategy(1)]),
+        Err(FrameworkError::InvalidConfig(_))
+    ));
+}
