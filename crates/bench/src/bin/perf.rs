@@ -134,18 +134,14 @@ fn main() {
         record("sinkhorn", size, us);
     }
 
-    // Warm-started batch transport: S = 5 solves against one fixed dirty
-    // signature (shared supply + ground costs) whose cleaned-side masses
-    // drift incrementally — the shape of one replication's batch and of
-    // the budget optimizer's greedy candidate sweep, where consecutive
-    // instances differ by one candidate's sparse edits.
-    // `batch_emd_cold` solves each instance from a fresh
-    // north-west-corner basis on a reused arena (allocation amortized —
-    // the engine's default path); `batch_emd` chains them through one
-    // `BatchTransport`, warm-starting every solve after the first from
-    // the previous optimum's repaired basis. Both rows are µs per
-    // transport, so their ratio is the warm-start speedup per
-    // replication-shaped batch.
+    // Batch transport: S = 5 solves against one fixed dirty signature
+    // (shared supply + ground costs) whose cleaned-side masses drift
+    // incrementally — the shape of one replication's batch and of the
+    // budget optimizer's greedy candidate sweep, where consecutive
+    // instances differ by one candidate's sparse edits. `batch_emd_cold`
+    // solves each instance from a fresh north-west-corner basis on one
+    // reused arena (allocation amortized — the engine's default path),
+    // in µs per transport.
     {
         let s_count = 5usize;
         let size = 128usize;
@@ -170,23 +166,6 @@ fn main() {
                 d[b] += slice;
             }
         }
-        let mut warm_arena = BatchTransport::new();
-        let us = measure(
-            iters,
-            || (),
-            |()| {
-                warm_arena.reset_chain();
-                let mut acc = 0.0;
-                for d in &demands {
-                    acc += require(
-                        warm_arena.solve(black_box(&supply), black_box(d), black_box(&cost)),
-                        "warm batch solve",
-                    );
-                }
-                acc
-            },
-        ) / s_count as f64;
-        record("batch_emd", size, us);
         let mut cold_arena = BatchTransport::new();
         let us = measure(
             iters,
@@ -195,7 +174,7 @@ fn main() {
                 let mut acc = 0.0;
                 for d in &demands {
                     acc += require(
-                        cold_arena.solve_cold(black_box(&supply), black_box(d), black_box(&cost)),
+                        cold_arena.solve(black_box(&supply), black_box(d), black_box(&cost)),
                         "cold batch solve",
                     );
                 }
@@ -417,17 +396,6 @@ fn main() {
         };
         let us = measure(iters, || (), |()| run_sweep(&sweep)) / units;
         record("cost_sweep", config.sample_size, us);
-        // Same sweep with each strategy's fraction ladder chained on one
-        // warm transport arena (`TransportMode::Warm`): consecutive
-        // fractions re-optimize the previous optimum's basis instead of
-        // solving from a fresh north-west corner, and the ratio to the
-        // `cost_sweep` row above is the warm-chain speedup per point.
-        let warm_sweep = CostSweepConfig {
-            transport: TransportMode::Warm,
-            ..sweep.clone()
-        };
-        let us = measure(iters, || (), |()| run_sweep(&warm_sweep)) / units;
-        record("cost_sweep_warm", config.sample_size, us);
         let us = measure(
             iters,
             || (),

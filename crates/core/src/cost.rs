@@ -34,29 +34,15 @@
 //! full re-detection, materialized distortion) kept in-tree so the
 //! equivalence stays enforceable ([`tests`] and `tests/end_to_end.rs`)
 //! and the speedup stays measurable (the perf bin's `cost_sweep` /
-//! `cost_sweep_ref` rows). In the default [`TransportMode::Cold`] the
-//! sweep's exact EMD transports run on the thread-local cold
-//! [`sd_emd::BatchTransport`] arena — allocation reuse without touching
-//! the cold pivot sequence, so the bit-identity contract is unaffected.
-//!
-//! [`TransportMode::Warm`] re-shapes the engine units instead: one unit
-//! per `(replication, strategy)`, walking the whole fraction ladder
-//! sequentially on one warm arena checked out of the replication's
-//! signature cache. Consecutive fractions share most of their cleaned
-//! mass, so each exact solve warm-starts from the previous optimum's
-//! basis ([`sd_emd::BatchTransport::solve_chained`] — the chain survives
-//! ground-cost drift from shifting occupied cells). EMD objectives then
-//! obey the warm-vs-cold contract `|warm − cold| ≤ 1e-9 · (1 + |cold|)`
-//! instead of bit-identity; every other field of every [`CostPoint`]
-//! (improvement, non-transport metrics, counters, reports) remains
-//! bit-identical, and point order is unchanged.
+//! `cost_sweep_ref` rows). The sweep's exact EMD transports run on the
+//! thread-local cold [`sd_emd::BatchTransport`] arena: allocation reuse
+//! that replays the standalone pivot sequence, so the bit-identity
+//! contract is unaffected.
 
-use crate::engine::{
-    run_staged, score_view, score_view_with, share_replication, SharedReplication, TaskExecutor,
-};
+use crate::engine::{run_staged, score_view, share_replication, SharedReplication, TaskExecutor};
 use crate::{
-    statistical_distortion, Experiment, ExperimentConfig, MetricScore, Result, ThreadPoolExecutor,
-    TransportMode,
+    statistical_distortion, Experiment, ExperimentConfig, FrameworkError, MetricScore, Result,
+    ThreadPoolExecutor, TransportMode,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -64,7 +50,6 @@ use sd_cleaning::{
     CleaningStrategy, CompositeStrategy, MissingTreatment, ModelFit, PartialCleaner,
 };
 use sd_data::Dataset;
-use sd_emd::BatchTransport;
 use sd_glitch::{GlitchIndex, GlitchMatrix, GlitchReport};
 use sd_stats::AttributeTransform;
 use std::sync::OnceLock;
@@ -88,14 +73,33 @@ pub struct CostSweepConfig {
     /// The strategies applied to the selected series (the paper's Figure 7
     /// uses Strategy 1 alone: winsorize + impute).
     pub strategies: Vec<CompositeStrategy>,
-    /// How each point's exact EMD transports are solved (see
-    /// [`TransportMode`]). [`TransportMode::Cold`] (the default) is
-    /// bit-identical to [`cost_sweep_reference`];
-    /// [`TransportMode::Warm`] chains each `(replication, strategy)`
-    /// fraction ladder on one warm [`sd_emd::BatchTransport`] arena,
-    /// holding EMD objectives to `1e-9 · (1 + |cold|)` of the cold
-    /// values. Ignored by kernels that solve no transport.
+    /// How each point's exact EMD transports are solved; see
+    /// [`TransportMode`], which has one value.
     pub transport: TransportMode,
+}
+
+impl CostSweepConfig {
+    /// Checks the sweep's own settings: at least one strategy, and every
+    /// fraction finite and within `[0, 1]`.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameworkError::InvalidConfig`] naming the first bad setting.
+    fn validate(&self) -> Result<()> {
+        if self.strategies.is_empty() {
+            return Err(FrameworkError::InvalidConfig(
+                "cost sweep needs at least one strategy".into(),
+            ));
+        }
+        for &f in &self.fractions {
+            if !(0.0..=1.0).contains(&f) {
+                return Err(FrameworkError::InvalidConfig(format!(
+                    "cost sweep fractions must be finite and within [0, 1], got {f}"
+                )));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// One `(fraction, strategy, replication)` point of Figure 7.
@@ -162,6 +166,7 @@ pub fn cost_sweep_with<E: TaskExecutor>(
     config: &CostSweepConfig,
     executor: &E,
 ) -> Result<Vec<CostPoint>> {
+    config.validate()?;
     let experiment = Experiment::new(config.experiment.clone());
     let prepared = experiment.prepare(data)?;
     let transforms = prepared.transforms();
@@ -196,74 +201,22 @@ pub fn cost_sweep_with<E: TaskExecutor>(
         }
     };
 
-    match config.transport {
-        // Cold: one engine unit per (strategy, fraction) point, each on
-        // the thread-local cold arena — bit-identical to the reference.
-        TransportMode::Cold => {
-            let unit_results = run_staged(
-                executor,
-                config.experiment.replications,
-                config.strategies.len() * nf,
-                build,
-                |sw, r, u| sweep_point(config, transforms, sw, r, u / nf, u % nf, None),
-            );
-            let mut out = Vec::with_capacity(unit_results.len());
-            for point in unit_results {
-                out.push(point?);
-            }
-            Ok(out)
-        }
-        // Warm: one engine unit per (replication, strategy) — the unit
-        // walks its whole fraction ladder sequentially on one warm
-        // [`sd_emd::BatchTransport`] checked out of the replication's
-        // signature cache, so consecutive fractions chain their transport
-        // bases. Each link is embedded into the arena's padded chain
-        // frame (slot rosters per marginal, zero-mass padding — see
-        // [`sd_emd::ChainFrame`]), which holds the instance shape fixed
-        // while occupied cells drift; the inherited basis then survives
-        // the ladder through
-        // [`sd_emd::BatchTransport::solve_chained`]'s drifted-cost warm
-        // path. Point order is unchanged: replication-major, then
-        // strategy, then fraction.
-        TransportMode::Warm => {
-            let unit_results = run_staged(
-                executor,
-                config.experiment.replications,
-                config.strategies.len(),
-                build,
-                |sw, r, si| -> Result<Vec<CostPoint>> {
-                    sw.shared.cache.with_transport(|arena| {
-                        let mut ladder = Vec::with_capacity(nf);
-                        for fi in 0..nf {
-                            ladder.push(sweep_point(
-                                config,
-                                transforms,
-                                sw,
-                                r,
-                                si,
-                                fi,
-                                Some(arena),
-                            )?);
-                        }
-                        Ok(ladder)
-                    })
-                },
-            );
-            let mut out = Vec::with_capacity(unit_results.len() * nf);
-            for ladder in unit_results {
-                out.extend(ladder?);
-            }
-            Ok(out)
-        }
+    let unit_results = run_staged(
+        executor,
+        config.experiment.replications,
+        config.strategies.len() * nf,
+        build,
+        |sw, r, u| sweep_point(config, transforms, sw, r, u / nf, u % nf),
+    );
+    let mut out = Vec::with_capacity(unit_results.len());
+    for point in unit_results {
+        out.push(point?);
     }
+    Ok(out)
 }
 
 /// Evaluates one `(replication, strategy, fraction)` point against its
-/// replication's shared state. With a transport arena the EMD kernel
-/// solves through the warm chain ([`crate::engine`]'s `score_view_with`);
-/// without one it takes the bit-identical cold path. Everything else —
-/// selection mask, model fit, RNG stream, cleaning — is identical in both
-/// modes.
+/// replication's shared state.
 fn sweep_point(
     config: &CostSweepConfig,
     transforms: &[AttributeTransform],
@@ -271,7 +224,6 @@ fn sweep_point(
     r: usize,
     si: usize,
     fi: usize,
-    transport: Option<&mut BatchTransport>,
 ) -> Result<CostPoint> {
     let strategy = &config.strategies[si];
     let (selected, mask) = &sw.selections[fi];
@@ -297,16 +249,8 @@ fn sweep_point(
         Some(mask),
         model,
     );
-    let (improvement, distortions, treated_report) = match transport {
-        Some(arena) => score_view_with(
-            &sw.shared,
-            transforms,
-            config.experiment.weights,
-            &view,
-            arena,
-        )?,
-        None => score_view(&sw.shared, transforms, config.experiment.weights, &view)?,
-    };
+    let (improvement, distortions, treated_report) =
+        score_view(&sw.shared, transforms, config.experiment.weights, &view)?;
     Ok(CostPoint {
         fraction: config.fractions[fi],
         replication: r,
@@ -329,6 +273,7 @@ fn sweep_point(
 /// engine machinery beyond [`crate::ReplicationArtifacts`] itself — and as
 /// the baseline the perf bin's `cost_sweep_ref` row measures.
 pub fn cost_sweep_reference(data: &Dataset, config: &CostSweepConfig) -> Result<Vec<CostPoint>> {
+    config.validate()?;
     let experiment = Experiment::new(config.experiment.clone());
     let prepared = experiment.prepare(data)?;
     let index = GlitchIndex::new(config.experiment.weights);
@@ -413,73 +358,50 @@ mod tests {
         }
     }
 
-    /// Asserts a warm sweep against its cold twin: EMD within the
-    /// warm-vs-cold objective contract, everything else bit-identical.
-    fn assert_warm_matches_cold(cold: &[CostPoint], warm: &[CostPoint]) {
-        assert_eq!(cold.len(), warm.len());
-        for (a, b) in cold.iter().zip(warm) {
-            let at = format!(
-                "r={} s={} f={}",
-                a.replication, a.strategy_index, a.fraction
+    /// Both sweep entry points must reject `config` after `mutate` with
+    /// `InvalidConfig` instead of sweeping.
+    fn assert_rejected(mutate: impl FnOnce(&mut CostSweepConfig)) {
+        let data = generate(&NetsimConfig::small(9)).dataset;
+        let mut config = sweep_config();
+        mutate(&mut config);
+        let results = [
+            cost_sweep_with(&data, &config, &SerialExecutor),
+            cost_sweep_reference(&data, &config),
+        ];
+        for result in results {
+            assert!(
+                matches!(result, Err(FrameworkError::InvalidConfig(_))),
+                "fractions {:?}, {} strategies: expected InvalidConfig, got {:?}",
+                config.fractions,
+                config.strategies.len(),
+                result.map(|points| points.len())
             );
-            assert_eq!(a.fraction, b.fraction, "{at}: fraction");
-            assert_eq!(a.replication, b.replication, "{at}: replication");
-            assert_eq!(a.strategy_index, b.strategy_index, "{at}: strategy");
-            assert_eq!(a.series_cleaned, b.series_cleaned, "{at}: cleaned");
-            assert_eq!(
-                a.improvement.to_bits(),
-                b.improvement.to_bits(),
-                "{at}: improvement must not depend on the transport mode"
-            );
-            assert_eq!(a.treated_report, b.treated_report, "{at}: report");
-            for (x, y) in a.distortions.iter().zip(&b.distortions) {
-                assert_eq!(x.metric, y.metric, "{at}: metric order");
-                if x.metric == "emd" {
-                    assert!(
-                        (x.value - y.value).abs() <= 1e-9 * (1.0 + x.value.abs()),
-                        "{at}: emd {} vs warm {} outside contract",
-                        x.value,
-                        y.value
-                    );
-                } else {
-                    assert_eq!(
-                        x.value.to_bits(),
-                        y.value.to_bits(),
-                        "{at}: {} is transport-free and must stay bit-identical",
-                        x.metric
-                    );
-                }
-            }
         }
     }
 
-    /// A dense fraction ladder at a transport-heavy configuration (high
-    /// bins, EMD-only metric set): the padded chain frame re-anchors
-    /// slots and warm-starts across drifted costs link after link, and
-    /// every point must still satisfy the warm-vs-cold contract.
     #[test]
-    fn warm_dense_ladder_holds_contract() {
-        let data = generate(&NetsimConfig::small(9)).dataset;
-        let steps = 12;
-        let mut experiment = ExperimentConfig::paper_default(200, 5);
-        experiment.replications = 1;
-        experiment.threads = 1;
-        experiment.metrics = vec![crate::DistortionMetric::Emd {
-            bins: 10,
-            scaling: sd_emd::DistanceScaling::Normalized,
-        }];
-        let mut config = CostSweepConfig {
-            experiment,
-            fractions: (0..=steps)
-                .map(|i| f64::from(i) / f64::from(steps))
-                .collect(),
-            strategies: vec![paper_strategy(1), paper_strategy(2)],
-            transport: TransportMode::Cold,
-        };
-        let cold = cost_sweep(&data, &config).unwrap();
-        config.transport = TransportMode::Warm;
-        let warm = cost_sweep(&data, &config).unwrap();
-        assert_warm_matches_cold(&cold, &warm);
+    fn rejects_a_nan_fraction() {
+        assert_rejected(|c| c.fractions = vec![0.0, f64::NAN]);
+    }
+
+    #[test]
+    fn rejects_a_fraction_above_one() {
+        assert_rejected(|c| c.fractions = vec![0.5, 1.5]);
+    }
+
+    #[test]
+    fn rejects_a_negative_fraction() {
+        assert_rejected(|c| c.fractions = vec![-0.5, 1.0]);
+    }
+
+    #[test]
+    fn rejects_an_infinite_fraction() {
+        assert_rejected(|c| c.fractions = vec![f64::INFINITY]);
+    }
+
+    #[test]
+    fn rejects_an_empty_strategy_list() {
+        assert_rejected(|c| c.strategies.clear());
     }
 
     #[test]
@@ -582,39 +504,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn warm_sweep_honors_the_objective_contract() {
-        let data = generate(&NetsimConfig::small(9)).dataset;
-        // A denser ladder plus two strategies, so warm chains actually
-        // link consecutive fractions of each strategy.
-        let mut config = sweep_config();
-        config.fractions = vec![0.0, 0.2, 0.4, 0.6, 0.8, 1.0];
-        config.strategies = vec![paper_strategy(1), paper_strategy(5)];
-        let cold = cost_sweep(&data, &config).unwrap();
-        config.transport = TransportMode::Warm;
-        let warm = cost_sweep(&data, &config).unwrap();
-        let warm_serial = cost_sweep_with(&data, &config, &SerialExecutor).unwrap();
-        assert_warm_matches_cold(&cold, &warm);
-        assert_warm_matches_cold(&cold, &warm_serial);
-        // Warm mode must itself be deterministic: each ladder's chain is
-        // reset at checkout, so scheduling cannot leak between units.
-        let warm_again = cost_sweep(&data, &config).unwrap();
-        for (a, b) in warm.iter().zip(&warm_again) {
-            assert_eq!(a.distortion.to_bits(), b.distortion.to_bits());
-        }
-    }
-
-    #[test]
-    fn warm_sweep_is_bit_identical_on_transport_free_metrics() {
-        let data = generate(&NetsimConfig::small(9)).dataset;
-        let mut config = sweep_config();
-        config.experiment.metrics = crate::DistortionMetric::full_suite();
-        let cold = cost_sweep(&data, &config).unwrap();
-        config.transport = TransportMode::Warm;
-        let warm = cost_sweep(&data, &config).unwrap();
-        assert_warm_matches_cold(&cold, &warm);
     }
 
     #[test]

@@ -57,14 +57,8 @@
 //! Exact EMD transports inside unit scoring ride a **thread-local cold
 //! scratch arena** ([`sd_emd::BatchTransport`]): allocations (basis tree,
 //! flow matrix, pricing scratch) are reused across solves, but every solve
-//! replays the exact cold pivot sequence, so results stay bit-identical
-//! regardless of which thread scored which unit. Warm-started transports —
-//! which trade bit-identity for a documented `1e-9` objective tolerance —
-//! are opt-in ([`crate::TransportMode::Warm`]) and confined to the
-//! provably sequential chains: the budget optimizer's planning sweep and
-//! the cost sweep's per-strategy fraction ladder, each of which checks one
-//! [`sd_emd::BatchTransport`] arena out of the replication's signature
-//! cache and threads it through `score_view_with`.
+//! replays the exact pivot sequence of a standalone solve, so results stay
+//! bit-identical regardless of which thread scored which unit.
 //!
 //! # Windowed mode
 //!
@@ -93,7 +87,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sd_cleaning::{CleaningStrategy, CompositeStrategy, MissingTreatment, ModelFit};
 use sd_data::CleanedView;
-use sd_emd::{BatchTransport, PatchedCloud, SignatureCache};
+use sd_emd::{PatchedCloud, SignatureCache};
 use sd_glitch::{GlitchIndex, GlitchMatrix, GlitchReport, GlitchWeights};
 use sd_stats::AttributeTransform;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -366,32 +360,6 @@ pub(crate) fn score_view(
     weights: GlitchWeights,
     view: &CleanedView<'_>,
 ) -> Result<(f64, Vec<MetricScore>, GlitchReport)> {
-    score_view_inner(shared, transforms, weights, view, None)
-}
-
-/// Like [`score_view`] but with a caller-owned [`BatchTransport`] arena
-/// threaded into every transport-solving kernel (`score_patch_with`) —
-/// the warm-chain entry point for sequential unit ladders
-/// ([`crate::TransportMode::Warm`]). Non-transport kernels are unaffected
-/// and stay bit-identical; the EMD value obeys the warm-vs-cold objective
-/// contract instead.
-pub(crate) fn score_view_with(
-    shared: &SharedReplication,
-    transforms: &[AttributeTransform],
-    weights: GlitchWeights,
-    view: &CleanedView<'_>,
-    transport: &mut BatchTransport,
-) -> Result<(f64, Vec<MetricScore>, GlitchReport)> {
-    score_view_inner(shared, transforms, weights, view, Some(transport))
-}
-
-fn score_view_inner(
-    shared: &SharedReplication,
-    transforms: &[AttributeTransform],
-    weights: GlitchWeights,
-    view: &CleanedView<'_>,
-    mut transport: Option<&mut BatchTransport>,
-) -> Result<(f64, Vec<MetricScore>, GlitchReport)> {
     let artifacts = &shared.artifacts;
     // Re-detect only touched series; untouched series keep their dirty
     // annotations (detection is a pure per-series function).
@@ -431,13 +399,9 @@ fn score_view_inner(
     let patched = PatchedCloud::new(&shared.cache, row_edits);
     let mut distortions = Vec::with_capacity(shared.kernels.len());
     for kernel in &shared.kernels {
-        let value = match transport.as_deref_mut() {
-            Some(arena) => kernel.prepared.score_patch_with(&patched, arena)?,
-            None => kernel.prepared.score_patch(&patched)?,
-        };
         distortions.push(MetricScore {
             metric: kernel.name,
-            value,
+            value: kernel.prepared.score_patch(&patched)?,
         });
     }
     Ok((

@@ -58,8 +58,8 @@
 
 use crate::{FrameworkError, Result};
 use sd_emd::{
-    ground_distance_matrix, quantize, scaled_signature, BatchTransport, CloudQuant,
-    DistanceScaling, GridEmd, PatchedCloud, Signature, SignatureCache,
+    ground_distance_matrix, quantize, scaled_signature, CloudQuant, DistanceScaling, GridEmd,
+    PatchedCloud, Signature, SignatureCache,
 };
 use sd_linalg::MahalanobisMetric;
 use sd_stats::{
@@ -78,9 +78,7 @@ pub const KL_EPSILON: f64 = 1e-9;
 /// the exact transportation simplex to Sinkhorn (which preserves the
 /// strategy ordering). Sized so instances up to roughly 380×380 occupied
 /// cells stay exact: at those shapes one simplex solve is still cheaper
-/// than a converged Sinkhorn run, and keeping high-bins sweeps on the
-/// exact path lets the warm-chain arena reuse bases across a fraction
-/// ladder (Sinkhorn has no basis to chain).
+/// than a converged Sinkhorn run.
 const MAX_EXACT_CELLS: usize = 150_000;
 
 /// One metric's score of a `(replication, strategy)` unit.
@@ -126,23 +124,6 @@ pub trait PreparedKernel: Send + Sync {
     /// [`DistortionKernel::score_rows`] on `patched.materialize()`.
     fn score_patch(&self, patched: &PatchedCloud<'_>) -> Result<f64>;
 
-    /// Like [`PreparedKernel::score_patch`] but with a caller-owned
-    /// [`BatchTransport`] arena — the hand-off API for *chained units*
-    /// (the cost sweep's fraction ladder), where one arena carries a warm
-    /// basis across a sequence of closely related cleaned clouds. Kernels
-    /// that solve no transport ignore the arena and delegate to
-    /// `score_patch`; the EMD kernel routes its exact solve through
-    /// [`sd_emd::BatchTransport::solve_chained`], so its value obeys the
-    /// warm-vs-cold objective contract (`≤ 1e-9 · (1 + |cold|)`) instead
-    /// of `score_patch`'s bit-identity guarantee.
-    fn score_patch_with(
-        &self,
-        patched: &PatchedCloud<'_>,
-        _transport: &mut BatchTransport,
-    ) -> Result<f64> {
-        self.score_patch(patched)
-    }
-
     /// Convenience wrapper for callers that hold raw `(row, values)` edits
     /// instead of a built [`PatchedCloud`] — the budget optimizer's
     /// marginal-score hook: one candidate purchase is one edit set, and
@@ -153,21 +134,6 @@ pub trait PreparedKernel: Send + Sync {
         row_edits: Vec<(usize, Vec<f64>)>,
     ) -> Result<f64> {
         self.score_patch(&PatchedCloud::new(cache, row_edits))
-    }
-
-    /// Like [`PreparedKernel::score_edits`] but with a caller-owned
-    /// [`BatchTransport`] arena, so a batch of related scores (the budget
-    /// optimizer's candidate sweep) can reuse one basis tree and
-    /// warm-start consecutive transports. Kernels that do not solve a
-    /// transport ignore the arena and delegate to `score_edits`; the EMD
-    /// kernel routes its exact solve through it.
-    fn score_edits_with(
-        &self,
-        cache: &SignatureCache,
-        row_edits: Vec<(usize, Vec<f64>)>,
-        _transport: &mut BatchTransport,
-    ) -> Result<f64> {
-        self.score_edits(cache, row_edits)
     }
 }
 
@@ -221,27 +187,6 @@ impl PreparedKernel for EmdKernel {
             .distance_patched(patched)
             .map_err(distortion_err)?
             .emd)
-    }
-
-    fn score_patch_with(
-        &self,
-        patched: &PatchedCloud<'_>,
-        transport: &mut BatchTransport,
-    ) -> Result<f64> {
-        Ok(self
-            .pipeline()
-            .distance_patched_with(patched, transport)
-            .map_err(distortion_err)?
-            .emd)
-    }
-
-    fn score_edits_with(
-        &self,
-        cache: &SignatureCache,
-        row_edits: Vec<(usize, Vec<f64>)>,
-        transport: &mut BatchTransport,
-    ) -> Result<f64> {
-        self.score_patch_with(&PatchedCloud::new(cache, row_edits), transport)
     }
 }
 

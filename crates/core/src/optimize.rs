@@ -289,28 +289,20 @@ impl SelectionPolicy {
     }
 }
 
-/// How a sequential unit chain's exact EMD transports are solved — the
-/// budget optimizer's per-candidate planning sweep
-/// ([`BudgetOptimizerConfig::transport`]) and the cost sweep's
-/// per-strategy fraction ladder
-/// ([`crate::CostSweepConfig::transport`]).
+/// How exact EMD transports are solved. It has one value,
+/// [`TransportMode::Cold`], so no code matches on it; it remains only so
+/// the `transport` fields of [`BudgetOptimizerConfig`] and
+/// [`crate::CostSweepConfig`] keep their shape for existing callers. A
+/// later change to the `benchmark` crate, which names it in struct
+/// literals, can drop the type and both fields.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TransportMode {
     /// Every exact transport is solved from a fresh north-west-corner
     /// basis (on a thread-local scratch arena, so allocation is still
-    /// amortized). The default: scores are bit-identical to the
-    /// materialized reference path, enforced by this module's tests.
+    /// amortized). Scores are bit-identical to the materialized reference
+    /// path, enforced by this module's tests.
     #[default]
     Cold,
-    /// Consecutive scores within one chain — candidate re-scores of a
-    /// trajectory plan, or the fractions of one cost-sweep ladder — reuse
-    /// a [`sd_emd::BatchTransport`] checked out from the replication's
-    /// signature cache, warm-starting each solve from the previous
-    /// optimum's basis. Objectives agree with cold solves to
-    /// `1e-9 · (1 + |cold|)` (pivot order may legitimately differ);
-    /// greedy tie-breaks can therefore flip on exactly-tied gains, so
-    /// this mode trades the bit-identity guarantee for throughput.
-    Warm,
 }
 
 /// Configuration of a budget-optimization run.
@@ -330,8 +322,8 @@ pub struct BudgetOptimizerConfig {
     /// The greedy objective's distortion penalty `λ` (≥ 0; ignored by the
     /// baseline policies).
     pub distortion_weight: f64,
-    /// How the planner's exact EMD transports are solved (see
-    /// [`TransportMode`]); ignored by kernels that solve no transport.
+    /// How the planner's exact EMD transports are solved; see
+    /// [`TransportMode`], which has one value.
     pub transport: TransportMode,
 }
 
@@ -763,32 +755,14 @@ pub fn budget_optimize_with<E: TaskExecutor>(
                     shuffle_seed(seed, r, si),
                 );
                 let primary = &opt.shared.kernels[0].prepared;
-                let steps = match config.transport {
-                    TransportMode::Cold => plan_trajectory(
-                        &candidates,
-                        config.policy,
-                        &order,
-                        config.distortion_weight,
-                        max_budget,
-                        |edits| primary.score_edits(&opt.shared.cache, edits),
-                    ),
-                    // The plan runs once per strategy (under the
-                    // `OnceLock`), sequentially, so one checked-out batch
-                    // arena sees the whole candidate sweep in a
-                    // deterministic order — exactly the shape warm starts
-                    // want: same dirty signature, same support, perturbed
-                    // cleaned masses.
-                    TransportMode::Warm => opt.shared.cache.with_transport(|batch| {
-                        plan_trajectory(
-                            &candidates,
-                            config.policy,
-                            &order,
-                            config.distortion_weight,
-                            max_budget,
-                            |edits| primary.score_edits_with(&opt.shared.cache, edits, batch),
-                        )
-                    }),
-                }?;
+                let steps = plan_trajectory(
+                    &candidates,
+                    config.policy,
+                    &order,
+                    config.distortion_weight,
+                    max_budget,
+                    |edits| primary.score_edits(&opt.shared.cache, edits),
+                )?;
                 Ok(StrategyPlan {
                     candidates,
                     order: steps,
@@ -1413,45 +1387,6 @@ mod tests {
                 }
                 assert_eq!(a.treated_report, b.treated_report);
             }
-        }
-    }
-
-    #[test]
-    fn warm_transport_matches_cold_within_contract() {
-        // `TransportMode::Warm` reuses one batch arena per trajectory
-        // plan, warm-starting the greedy sweep's EMD transports. Pivot
-        // order may legitimately differ from cold solves, so the contract
-        // is the batch layer's relative tolerance on objectives — and on
-        // this fixed seed the greedy decisions (purchases, spend) come
-        // out identical, which pins the frontier points together.
-        let data = data();
-        let mut cold_config = optimizer_config(SelectionPolicy::Greedy);
-        cold_config.distortion_weight = 0.5;
-        let mut warm_config = cold_config.clone();
-        warm_config.transport = TransportMode::Warm;
-        let cold = budget_optimize(&data, &cold_config).unwrap();
-        let warm = budget_optimize(&data, &warm_config).unwrap();
-        assert_eq!(cold.len(), warm.len());
-        for (c, w) in cold.iter().zip(&warm) {
-            assert_eq!(c.budget, w.budget);
-            assert_eq!(c.replication, w.replication);
-            assert_eq!(c.series_cleaned, w.series_cleaned);
-            assert_eq!(c.spent.to_bits(), w.spent.to_bits());
-            assert!(
-                (c.distortion - w.distortion).abs() <= 1e-9 * (1.0 + c.distortion.abs()),
-                "distortion out of contract at r={} b={}: cold {} vs warm {}",
-                c.replication,
-                c.budget,
-                c.distortion,
-                w.distortion
-            );
-        }
-        // Warm mode is deterministic: the plan runs once, sequentially,
-        // on a chain-reset arena, so re-running reproduces every bit.
-        let again = budget_optimize(&data, &warm_config).unwrap();
-        for (a, b) in warm.iter().zip(&again) {
-            assert_eq!(a.spent.to_bits(), b.spent.to_bits());
-            assert_eq!(a.distortion.to_bits(), b.distortion.to_bits());
         }
     }
 

@@ -15,11 +15,6 @@ pub enum LinalgError {
         /// Index of the pivot where the failure was detected.
         pivot: usize,
     },
-    /// LU factorization failed: the matrix is singular (or numerically so).
-    Singular {
-        /// Index of the pivot where the failure was detected.
-        pivot: usize,
-    },
     /// The input was empty where at least one element was required.
     Empty,
     /// The input contained a non-finite value (NaN or infinity).
@@ -34,9 +29,6 @@ impl fmt::Display for LinalgError {
             }
             LinalgError::NotPositiveDefinite { pivot } => {
                 write!(f, "matrix is not positive definite (pivot {pivot})")
-            }
-            LinalgError::Singular { pivot } => {
-                write!(f, "matrix is singular (pivot {pivot})")
             }
             LinalgError::Empty => write!(f, "empty input"),
             LinalgError::NonFinite => write!(f, "input contains NaN or infinite values"),
@@ -60,9 +52,6 @@ mod tests {
         assert!(LinalgError::NotPositiveDefinite { pivot: 2 }
             .to_string()
             .contains("pivot 2"));
-        assert!(LinalgError::Singular { pivot: 0 }
-            .to_string()
-            .contains("singular"));
         assert_eq!(LinalgError::Empty.to_string(), "empty input");
         assert!(LinalgError::NonFinite.to_string().contains("NaN"));
     }
@@ -71,8 +60,8 @@ mod tests {
     fn errors_are_comparable() {
         assert_eq!(LinalgError::Empty, LinalgError::Empty);
         assert_ne!(
-            LinalgError::Singular { pivot: 0 },
-            LinalgError::Singular { pivot: 1 }
+            LinalgError::NotPositiveDefinite { pivot: 0 },
+            LinalgError::NotPositiveDefinite { pivot: 1 }
         );
     }
 }

@@ -3,9 +3,8 @@
 //!
 //! The paper's model-based imputer (an emulation of SAS `PROC MI`) and the
 //! Mahalanobis distortion distance both need multivariate-Gaussian machinery:
-//! covariance estimation, Cholesky factorization for sampling and solving,
-//! and LU factorization with partial pivoting as a fallback for matrices
-//! that are not positive definite.
+//! covariance estimation and Cholesky factorization for sampling and
+//! solving.
 //!
 //! The dimensionality in this system is tiny (the paper's data has `v = 3`
 //! attributes), so the implementations favour clarity and numerical
@@ -33,14 +32,12 @@
 mod cholesky;
 mod covariance;
 mod error;
-mod lu;
 mod mahalanobis;
 mod matrix;
 
 pub use cholesky::CholeskyFactor;
 pub use covariance::{covariance_matrix, mean_vector, pairwise_covariance_matrix};
 pub use error::LinalgError;
-pub use lu::LuFactor;
 pub use mahalanobis::{mahalanobis_distance, mahalanobis_distance_sq, MahalanobisMetric};
 pub use matrix::Matrix;
 

@@ -248,19 +248,66 @@ proptest! {
     }
 
     #[test]
+    fn reused_batch_transport_is_bit_identical_to_fresh_solves(
+        shapes in prop::collection::vec((1usize..24, 1usize..24, 0u8..3), 2..12),
+        seed in 0u64..1000,
+    ) {
+        // One `BatchTransport` serves a sequence of instances whose shapes
+        // grow and shrink, so every solve runs on buffers sized and filled
+        // by a different earlier instance. Kinds: 0 = continuous masses
+        // and costs; 1 = small-integer masses and costs (ties, exactly
+        // zero basic flows, equal-cost pivots — the degenerate regime that
+        // historically broke pivots); 2 = an exact repeat of the previous
+        // instance. Every solve must equal a fresh `TransportProblem`
+        // solve bit for bit.
+        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 33) as f64) / (u32::MAX as f64)
+        };
+        let mut batch = BatchTransport::new();
+        let mut previous: Option<(Vec<f64>, Vec<f64>, Vec<f64>)> = None;
+        for (k, &(n, m, kind)) in shapes.iter().enumerate() {
+            let (supply, demand, cost) = match (kind, previous.take()) {
+                (2, Some(instance)) => instance,
+                (kind, _) => {
+                    let integer = kind != 0;
+                    let supply = unit_masses(n, integer, &mut next);
+                    let demand = unit_masses(m, integer, &mut next);
+                    let cost: Vec<f64> = (0..n * m)
+                        .map(|_| if integer { (next() * 3.0).floor() } else { next() * 10.0 })
+                        .collect();
+                    (supply, demand, cost)
+                }
+            };
+            let reused = batch.solve(&supply, &demand, &cost).unwrap();
+            let fresh = TransportProblem::new(supply.clone(), demand.clone(), cost.clone())
+                .unwrap()
+                .solve()
+                .unwrap();
+            prop_assert_eq!(
+                reused.to_bits(),
+                fresh.to_bits(),
+                "instance {} ({}x{}, kind {}): reused {} vs fresh {}",
+                k, supply.len(), demand.len(), kind, reused, fresh
+            );
+            previous = Some((supply, demand, cost));
+        }
+    }
+
+    #[test]
     fn warm_batch_transport_matches_cold_solves(
         supply in prop::collection::vec(1u8..=4, 2..10),
         demand in prop::collection::vec(1u8..=4, 2..10),
         seed in 0u64..1000,
     ) {
-        // A warm-started `BatchTransport` chain over one fixed dirty
-        // signature and a drifting cleaned signature — the engine's batch
-        // shape — must match independent cold solves within the documented
-        // objective contract, `1e-9 · (1 + |cold|)`. Small-integer masses
-        // make degenerate duplicate-mass instances (ties, zero basic
-        // flows), the regime that historically broke pivots; infeasible
-        // inherited bases must fall back to a cold solve cleanly rather
-        // than erroring.
+        // A warm `BatchTransport` — one whose arena already served the
+        // previous instance — solving a chain over one fixed dirty
+        // signature and a drifting cleaned signature (the engine's batch
+        // shape) must equal independent cold `TransportProblem` solves
+        // bit for bit. Small-integer masses make degenerate
+        // duplicate-mass instances (ties, zero basic flows), the regime
+        // that historically broke pivots.
         let st: f64 = supply.iter().map(|&x| x as f64).sum();
         let dt: f64 = demand.iter().map(|&x| x as f64).sum();
         let supply: Vec<f64> = supply.iter().map(|&x| x as f64 / st).collect();
@@ -277,9 +324,9 @@ proptest! {
         for round in 0..6 {
             if round > 0 {
                 // Drift the cleaned masses: move a slice of demand between
-                // two cells (keeps totals balanced, support identical —
-                // the warm-startable shape). Every other round drifts by
-                // zero, an exact duplicate of the previous instance.
+                // two cells (keeps totals balanced, support identical).
+                // Every other round drifts by zero, an exact duplicate of
+                // the previous instance.
                 let a = (next() * demand.len() as f64) as usize % demand.len();
                 let b = (next() * demand.len() as f64) as usize % demand.len();
                 let slice = if round % 2 == 0 { demand[a] * 0.25 } else { 0.0 };
@@ -291,14 +338,12 @@ proptest! {
                 .unwrap()
                 .solve()
                 .unwrap();
-            prop_assert!(
-                (warm - cold).abs() <= 1e-9 * (1.0 + cold.abs()),
-                "round {round}: warm {warm} vs cold {cold}"
+            prop_assert_eq!(
+                warm.to_bits(),
+                cold.to_bits(),
+                "round {}: warm {} vs cold {}", round, warm, cold
             );
         }
-        let stats = batch.stats();
-        prop_assert_eq!(stats.solves, 6);
-        prop_assert_eq!(stats.warm_hits + stats.fallbacks, 5, "{:?}", stats);
     }
 
     #[test]
@@ -306,13 +351,12 @@ proptest! {
         seed in 0u64..10_000,
         links in 2usize..8,
     ) {
-        // A random fraction ladder through the grid pipeline's chained
-        // entry point: link k cleans the first k·(rows/links) rows of a
-        // random dirty cloud toward a fixed target, every link scored on
-        // ONE warm arena. The occupied-cell sets drift link to link —
-        // the chain frame re-anchors or rebuilds as needed — and every
-        // chained result must stay within the warm objective contract of
-        // the bit-exact unchained pipeline.
+        // A random fraction ladder through the grid pipeline: link k
+        // cleans the first k·(rows/links) rows of a random dirty cloud
+        // toward a fixed target, every link scored against ONE signature
+        // cache on this thread's reused cold arena. The occupied-cell sets
+        // drift link to link, and every chained result must equal the
+        // unchained pipeline on the materialized cloud bit for bit.
         use statistical_distortion::emd::{GridEmd, PatchedCloud, SignatureCache};
 
         let rows = 60usize;
@@ -320,7 +364,6 @@ proptest! {
         let target = kernel_cloud(seed ^ 0x00C1_EA17, rows);
         let cache = SignatureCache::new(base.clone());
         let g = GridEmd::new(7);
-        let mut arena = BatchTransport::new();
         for link in 1..=links {
             let cleaned = (rows * link / links).max(1);
             let edits: Vec<(usize, Vec<f64>)> = target
@@ -330,25 +373,42 @@ proptest! {
                 .enumerate()
                 .collect();
             let patched = PatchedCloud::new(&cache, edits);
-            let cold = g.distance_patched(&patched);
-            let warm = g.distance_patched_with(&patched, &mut arena);
-            match (cold, warm) {
-                (Ok(c), Ok(w)) => {
-                    prop_assert_eq!(c.solver, w.solver, "link {}", link);
-                    prop_assert!(
-                        (w.emd - c.emd).abs() <= 1e-9 * (1.0 + c.emd.abs()),
-                        "link {}: chained {} vs cold {}", link, w.emd, c.emd
+            let chained = g.distance_patched(&patched);
+            let unchained = g.distance(&base, &patched.materialize());
+            match (unchained, chained) {
+                (Ok(u), Ok(c)) => {
+                    prop_assert_eq!(u.solver, c.solver, "link {}", link);
+                    prop_assert_eq!(
+                        c.emd.to_bits(),
+                        u.emd.to_bits(),
+                        "link {}: chained {} vs unchained {}", link, c.emd, u.emd
                     );
                 }
                 (Err(_), Err(_)) => {} // both paths reject (e.g. all-NaN edits)
-                (cold, warm) => prop_assert!(
+                (unchained, chained) => prop_assert!(
                     false,
                     "link {}: one path failed, the other did not ({:?} vs {:?})",
-                    link, cold, warm
+                    link, unchained, chained
                 ),
             }
         }
     }
+}
+
+/// `len` weights normalized to unit mass: small integers in `1..=4`
+/// before normalizing when `integer` (many exact ties), else continuous.
+fn unit_masses(len: usize, integer: bool, next: &mut impl FnMut() -> f64) -> Vec<f64> {
+    let raw: Vec<f64> = (0..len)
+        .map(|_| {
+            if integer {
+                1.0 + (next() * 4.0).floor()
+            } else {
+                0.01 + next()
+            }
+        })
+        .collect();
+    let total: f64 = raw.iter().sum();
+    raw.iter().map(|x| x / total).collect()
 }
 
 /// Builds a random cleaning scenario: correlated two-attribute telemetry
