@@ -62,7 +62,7 @@ impl DistortionMetric {
 
     /// Every implemented kernel at its default resolution, EMD (the
     /// paper's metric) first — the metric set behind the multi-metric
-    /// ablations and the `score_multi` perf row.
+    /// ablations.
     pub fn full_suite() -> Vec<DistortionMetric> {
         vec![
             DistortionMetric::paper_default(),

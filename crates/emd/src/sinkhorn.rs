@@ -28,8 +28,8 @@ impl Default for SinkhornParams {
 /// Returns the transport cost `Σ P_ij c_ij / Σ P_ij` of the entropically
 /// regularized plan. The result upper-approximates the exact EMD and
 /// converges to it as `regularization → 0`. Provided as the fast
-/// alternative for very large signatures, and as the subject of the
-/// `ablation_distance` benchmark.
+/// alternative for very large signatures: [`crate::GridEmd`] falls back to
+/// it when the exact solve would exceed its budget.
 pub fn sinkhorn(
     supply: &[f64],
     demand: &[f64],

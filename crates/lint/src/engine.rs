@@ -118,7 +118,7 @@ mod tests {
     fn bench_crate_escapes_determinism_rules_only() {
         let src =
             "use std::time::Instant;\nfn t() { let x = Instant::now(); x.elapsed().unwrap(); }\n";
-        let bench = lint_source("crates/bench/src/bin/perf.rs", "sd-bench", src);
+        let bench = lint_source("crates/bench/src/bin/figure7.rs", "sd-bench", src);
         assert!(
             bench.diagnostics.iter().all(|d| d.rule == RuleId::P001),
             "bench keeps P001 but sheds D003: {:?}",

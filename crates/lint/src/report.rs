@@ -1,8 +1,8 @@
 //! The machine-readable lint report (`lint-report.json`).
 //!
-//! Uploaded beside `BENCH_emd.json` in CI, so the lint trajectory —
-//! violations, per-crate P001 debt, and every accepted escape hatch — is
-//! inspectable PR-over-PR without rerunning the tool.
+//! Uploaded as a CI artifact, so the lint trajectory — violations,
+//! per-crate P001 debt, and every accepted escape hatch — is inspectable
+//! PR-over-PR without rerunning the tool.
 
 use crate::baseline::{Baseline, RatchetDelta};
 use crate::diagnostics::{Diagnostic, ALL_RULES};

@@ -4,26 +4,8 @@
 //! samples of data": `R` replications, each a test pair `{D^i, D^i_I}` of
 //! `B` series sampled **with replacement** — entire time series, never
 //! individual points, to preserve temporal structure (§4.2).
-//!
-//! Beyond the replication sampler the crate implements the sampling schemes
-//! the paper cites for scaling to very large databases: bottom-k sketches
-//! (Cohen & Kaplan, ref \[4\]), priority sampling for subset sums (Duffield,
-//! Lund & Thorup, ref \[5\]), classic reservoir sampling (Olken's
-//! random-sampling-from-databases lineage, ref \[11\]), weighted sampling via
-//! the alias method, and a tower-stratified sampler that preserves network
-//! topology — the §6.1 future-work direction.
 
 #![forbid(unsafe_code)]
-mod bottomk;
-mod priority;
 mod replicate;
-mod reservoir;
-mod stratified;
-mod weighted;
 
-pub use bottomk::BottomKSketch;
-pub use priority::PrioritySampler;
 pub use replicate::{ReplicationSampler, TestPair};
-pub use reservoir::ReservoirSampler;
-pub use stratified::TowerStratifiedSampler;
-pub use weighted::WeightedSampler;

@@ -25,7 +25,7 @@
 //! | [`glitch`] | `sd-glitch` | glitch detection, constraints, scoring |
 //! | [`netsim`] | `sd-netsim` | synthetic telemetry generator |
 //! | [`cleaning`] | `sd-cleaning` | winsorize / mean-impute / MVN-impute strategies |
-//! | [`sampling`] | `sd-sampling` | replication, bottom-k, priority, reservoir |
+//! | [`sampling`] | `sd-sampling` | with-replacement replication test pairs |
 //! | [`serve`] | `sd-serve` | sharded streaming service for the §3.3 online pipeline |
 //! | [`linalg`] | `sd-linalg` | small dense linear algebra |
 //!
