@@ -277,19 +277,6 @@ pub struct MvnImputer {
 }
 
 impl MvnImputer {
-    /// Fits the imputation model on working-space rows (NaN = to impute).
-    /// Flattens the rows and delegates to [`MvnImputer::fit_flat`].
-    pub fn fit(rows: &[Vec<f64>]) -> Result<Self, MiError> {
-        let v = rows.first().map_or(0, Vec::len);
-        if rows.iter().any(|r| r.len() != v) {
-            return Err(MiError::DimensionMismatch);
-        }
-        if v == 0 {
-            return Err(MiError::TooFewRows { got: rows.len() });
-        }
-        MvnImputer::fit_flat(&rows.concat(), v)
-    }
-
     /// Fits the imputation model on a flat row-major buffer of `v`
     /// working-space values per row (NaN = to impute).
     pub fn fit_flat(rows: &[f64], v: usize) -> Result<Self, MiError> {
@@ -297,14 +284,6 @@ impl MvnImputer {
             model: MvnModel::fit(rows, v, 50, 1e-8)?,
             impute_fully_missing: false,
         })
-    }
-
-    /// Wraps an already-fitted model.
-    pub fn from_model(model: MvnModel) -> Self {
-        MvnImputer {
-            model,
-            impute_fully_missing: false,
-        }
     }
 
     /// Enables unconditional draws for fully-missing records.
@@ -665,7 +644,7 @@ mod tests {
     #[test]
     fn conditional_imputation_exploits_correlation() {
         let rows = make_rows(4000, 0);
-        let imputer = MvnImputer::fit(&rows).unwrap();
+        let imputer = MvnImputer::fit_flat(&rows.concat(), rows[0].len()).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
         // x far above its mean → imputed y should sit above its mean too.
         let mut highs = 0;
@@ -688,7 +667,7 @@ mod tests {
     #[test]
     fn fully_missing_records_are_skipped_by_default() {
         let rows = make_rows(500, 0);
-        let imputer = MvnImputer::fit(&rows).unwrap();
+        let imputer = MvnImputer::fit_flat(&rows.concat(), rows[0].len()).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let mut record = vec![f64::NAN, f64::NAN, f64::NAN];
         assert_eq!(imputer.impute_record(&mut record, &mut rng), 0);
@@ -702,7 +681,7 @@ mod tests {
     #[test]
     fn complete_records_are_untouched() {
         let rows = make_rows(500, 0);
-        let imputer = MvnImputer::fit(&rows).unwrap();
+        let imputer = MvnImputer::fit_flat(&rows.concat(), rows[0].len()).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
         let mut record = vec![1.0, 2.0, 3.0];
         assert_eq!(imputer.impute_record(&mut record, &mut rng), 0);
@@ -722,7 +701,7 @@ mod tests {
             let other: f64 = StandardNormal.sample(&mut rng);
             rows.push(vec![load, other]);
         }
-        let imputer = MvnImputer::fit(&rows).unwrap();
+        let imputer = MvnImputer::fit_flat(&rows.concat(), rows[0].len()).unwrap();
         let mut negatives = 0;
         for _ in 0..500 {
             let mut record = vec![f64::NAN, 0.0];
@@ -748,7 +727,7 @@ mod tests {
             Err(MiError::DimensionMismatch)
         ));
         assert!(matches!(
-            MvnImputer::fit(&[vec![1.0], vec![1.0, 2.0]]),
+            MvnImputer::fit_flat(&[1.0, 1.0, 2.0], 2),
             Err(MiError::DimensionMismatch)
         ));
         assert!(MvnModel::fit(&[1.0, 2.0, 3.0], 3, 10, 1e-6).is_err());
@@ -768,7 +747,7 @@ mod tests {
     #[test]
     fn imputation_is_deterministic_per_rng_seed() {
         let rows = make_rows(1000, 0);
-        let imputer = MvnImputer::fit(&rows).unwrap();
+        let imputer = MvnImputer::fit_flat(&rows.concat(), rows[0].len()).unwrap();
         let mut r1 = StdRng::seed_from_u64(42);
         let mut r2 = StdRng::seed_from_u64(42);
         let mut a = vec![12.0, f64::NAN, f64::NAN];
@@ -871,7 +850,7 @@ mod tests {
         // The stack-scratch draw equals `μ_M + K(x_O − μ_O) + L z` with
         // `L z` from `CholeskyFactor::lower_mul`, z drawn in attribute order.
         let rows = make_rows(1000, 4);
-        let imputer = MvnImputer::fit(&rows)
+        let imputer = MvnImputer::fit_flat(&rows.concat(), rows[0].len())
             .unwrap()
             .with_fully_missing_draws(true);
         let records = [

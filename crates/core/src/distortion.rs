@@ -3,7 +3,6 @@ use crate::kernel::{
 };
 use crate::Result;
 use sd_data::Dataset;
-use sd_emd::DistanceScaling;
 use sd_stats::AttributeTransform;
 
 /// The distance `d(D, D_C)` behind Definition 1.
@@ -16,12 +15,10 @@ use sd_stats::AttributeTransform;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DistortionMetric {
     /// Earth Mover's Distance between grid-quantized tuple clouds (the
-    /// paper's choice, §3.5).
+    /// paper's choice, §3.5), each axis divided by its grid range.
     Emd {
         /// Bins per attribute axis.
         bins: usize,
-        /// Ground-distance scaling.
-        scaling: DistanceScaling,
     },
     /// KL divergence `KL(dirty ‖ cleaned)` over the shared grid, with
     /// epsilon smoothing for empty cells ([`crate::KL_EPSILON`]).
@@ -38,8 +35,8 @@ pub enum DistortionMetric {
     /// Worst-axis two-sample Cramér–von Mises statistic over the
     /// per-attribute marginals.
     CramerVonMises,
-    /// Energy distance between the grid-quantized tuple clouds (robust
-    /// cover, normalized axis scaling — the EMD pipeline's defaults).
+    /// Energy distance between the grid-quantized tuple clouds (the same
+    /// robust grid and normalized axis scaling as EMD).
     Energy {
         /// Bins per attribute axis.
         bins: usize,
@@ -54,10 +51,7 @@ impl DistortionMetric {
     /// inside the exact transportation-simplex budget, so replication
     /// scores never mix exact and approximate solves.
     pub fn paper_default() -> Self {
-        DistortionMetric::Emd {
-            bins: 6,
-            scaling: DistanceScaling::Normalized,
-        }
+        DistortionMetric::Emd { bins: 6 }
     }
 
     /// Every implemented kernel at its default resolution, EMD (the
@@ -83,7 +77,7 @@ impl DistortionMetric {
     /// Builds the [`DistortionKernel`] this descriptor denotes.
     pub fn kernel(&self) -> Box<dyn DistortionKernel> {
         match *self {
-            DistortionMetric::Emd { bins, scaling } => Box::new(EmdKernel { bins, scaling }),
+            DistortionMetric::Emd { bins } => Box::new(EmdKernel { bins }),
             DistortionMetric::KlDivergence { bins } => Box::new(KlKernel { bins }),
             DistortionMetric::Mahalanobis => Box::new(MahalanobisKernel),
             DistortionMetric::KolmogorovSmirnov => Box::new(KsKernel),
@@ -196,26 +190,12 @@ mod tests {
     #[test]
     fn distortion_grows_with_shift_under_emd() {
         let d = dataset(0.0);
-        let near = statistical_distortion(
-            &d,
-            &dataset(1.0),
-            &ID,
-            DistortionMetric::Emd {
-                bins: 16,
-                scaling: DistanceScaling::Raw,
-            },
-        )
-        .unwrap();
-        let far = statistical_distortion(
-            &d,
-            &dataset(8.0),
-            &ID,
-            DistortionMetric::Emd {
-                bins: 16,
-                scaling: DistanceScaling::Raw,
-            },
-        )
-        .unwrap();
+        let near =
+            statistical_distortion(&d, &dataset(1.0), &ID, DistortionMetric::Emd { bins: 16 })
+                .unwrap();
+        let far =
+            statistical_distortion(&d, &dataset(8.0), &ID, DistortionMetric::Emd { bins: 16 })
+                .unwrap();
         assert!(far > near, "far {far} vs near {near}");
     }
 
@@ -223,27 +203,16 @@ mod tests {
     fn transforms_change_the_working_space() {
         let d = dataset(0.0);
         let c = dataset(3.0);
-        let raw = statistical_distortion(
-            &d,
-            &c,
-            &ID,
-            DistortionMetric::Emd {
-                bins: 8,
-                scaling: DistanceScaling::Raw,
-            },
-        )
-        .unwrap();
+        let raw = statistical_distortion(&d, &c, &ID, DistortionMetric::Emd { bins: 8 }).unwrap();
         let logt = statistical_distortion(
             &d,
             &c,
             &[AttributeTransform::log(), AttributeTransform::Identity],
-            DistortionMetric::Emd {
-                bins: 8,
-                scaling: DistanceScaling::Raw,
-            },
+            DistortionMetric::Emd { bins: 8 },
         )
         .unwrap();
-        // Log compresses the axis, so the raw-space distance shrinks.
+        // Log compresses the shift more than the spread it is measured
+        // against, so the normalized distance shrinks.
         assert!(logt < raw, "log {logt} vs raw {raw}");
     }
 

@@ -451,6 +451,7 @@ pub(crate) fn run_batch<E: TaskExecutor>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sd_emd::{Cover, GridPair, PatchedCloud};
 
     #[test]
     fn run_staged_builds_each_group_once() {
@@ -519,7 +520,6 @@ mod tests {
         let rows: Vec<Vec<f64>> = (0..32)
             .map(|i| vec![i as f64, (i * 7 % 5) as f64])
             .collect();
-        let spec = sd_stats::GridSpec::covering(&rows, &rows, 4).expect("non-degenerate grid");
         let cache = SignatureCache::new(rows);
         let completed = AtomicUsize::new(0);
 
@@ -533,8 +533,10 @@ mod tests {
                 8,
                 |_| (),
                 |(), _, u| {
-                    let side = cache.side_for(&spec, &[1.0, 1.0]).expect("cacheable side");
-                    assert!(side.occupied > 0);
+                    let pair =
+                        GridPair::patched(&PatchedCloud::new(&cache, vec![]), 4, Cover::MinMax)
+                            .expect("cacheable side");
+                    assert!(pair.dirty().occupied > 0);
                     if u == 3 {
                         panic!("unit 3 dies mid-queue");
                     }
@@ -555,8 +557,9 @@ mod tests {
         );
         // The memoized side survives the panic: the lock is not poisoned
         // and the entry built before the crash is still served.
-        assert!(cache.memoized() >= 1);
-        assert!(cache.side_for(&spec, &[1.0, 1.0]).is_ok());
+        assert_eq!(cache.memoized(), 1);
+        assert!(GridPair::patched(&PatchedCloud::new(&cache, vec![]), 4, Cover::MinMax).is_ok());
+        assert_eq!(cache.memoized(), 1);
     }
 
     #[test]

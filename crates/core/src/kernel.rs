@@ -27,12 +27,15 @@
 //! materialized cloud (enforced by proptests in `tests/properties.rs`).
 //! The kernels achieve this without re-deriving full state:
 //!
-//! * **EMD** — the PR-3 pipeline, unchanged: derived sorted columns,
-//!   rank-selected cover quantiles, incrementally edited dense histogram.
-//! * **KL** — the same shared-grid machinery, min–max cover; the dirty
-//!   histogram comes from the cache's memo and the cleaned histogram is the
-//!   dirty one with only the edited rows re-binned. Masses are exact
-//!   integer counts, so the incremental edit is bit-precise.
+//! * **EMD, KL, energy** — one front half, [`GridPair`]: its rows form on
+//!   the reference path, its patched form on the engine path (derived
+//!   sorted columns, rank-selected cover, the cache's memoized dirty
+//!   histogram with only the edited rows re-binned for the cleaned side).
+//!   Masses are exact integer counts, so the incremental edit is
+//!   bit-precise. Each kernel keeps only its back half: the transport
+//!   solve (EMD, robust cover), [`kl_divergence`] over the aligned
+//!   histograms (KL, min–max cover), and the signature-level energy
+//!   distance (energy, robust cover).
 //! * **Mahalanobis** — the dirty-side fit (mean + factored covariance) is
 //!   prepared once; the cleaned mean is maintained by a fixed-shape
 //!   pairwise [`SumTree`], whose sparse root re-summation is bit-identical
@@ -41,8 +44,6 @@
 //! * **KS / Cramér–von Mises** — per-axis two-sample statistics over the
 //!   cached (dirty) and derived (cleaned) sorted columns; multiset column
 //!   edits under `total_cmp` are bit-precise.
-//! * **Energy distance** — scored on the same scaled grid signatures as
-//!   EMD (cached dirty side, incrementally re-binned cleaned side).
 //!
 //! # Smoothing contract for histogram-ratio kernels
 //!
@@ -58,13 +59,12 @@
 
 use crate::{FrameworkError, Result};
 use sd_emd::{
-    ground_distance_matrix, quantize, scaled_signature, CloudQuant, DistanceScaling, GridEmd,
-    PatchedCloud, Signature, SignatureCache,
+    ground_distance_matrix, CloudQuant, Cover, GridEmd, GridPair, PatchedCloud, Signature,
+    SignatureCache,
 };
 use sd_linalg::MahalanobisMetric;
 use sd_stats::{
-    cvm_statistic_sorted, kl_divergence, ks_statistic_sorted, sorted_union_columns, GridSpec,
-    SumTree,
+    cvm_statistic_sorted, kl_divergence, ks_statistic_sorted, sorted_union_columns, SumTree,
 };
 use std::collections::BTreeMap;
 
@@ -73,13 +73,6 @@ use std::collections::BTreeMap;
 /// afterwards. One constant shared by every smoothing site so all
 /// histogram-backed kernels obey a single contract (see the module docs).
 pub const KL_EPSILON: f64 = 1e-9;
-
-/// Occupied-cell-product budget above which the EMD kernel falls back from
-/// the exact transportation simplex to Sinkhorn (which preserves the
-/// strategy ordering). Sized so instances up to roughly 380×380 occupied
-/// cells stay exact: at those shapes one simplex solve is still cheaper
-/// than a converged Sinkhorn run.
-const MAX_EXACT_CELLS: usize = 150_000;
 
 /// One metric's score of a `(replication, strategy)` unit.
 #[derive(Debug, Clone, PartialEq)]
@@ -149,15 +142,6 @@ fn distortion_err(e: impl std::fmt::Display) -> FrameworkError {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EmdKernel {
     pub bins: usize,
-    pub scaling: DistanceScaling,
-}
-
-impl EmdKernel {
-    fn pipeline(&self) -> GridEmd {
-        GridEmd::new(self.bins)
-            .with_scaling(self.scaling)
-            .with_max_exact_cells(MAX_EXACT_CELLS)
-    }
 }
 
 impl DistortionKernel for EmdKernel {
@@ -166,11 +150,10 @@ impl DistortionKernel for EmdKernel {
     }
 
     fn score_rows(&self, rows_d: &[Vec<f64>], rows_c: &[Vec<f64>]) -> Result<f64> {
-        Ok(self
-            .pipeline()
+        GridEmd::new(self.bins)
             .distance(rows_d, rows_c)
-            .map_err(distortion_err)?
-            .emd)
+            .map(|report| report.emd)
+            .map_err(distortion_err)
     }
 
     fn prepare(&self, _cache: &SignatureCache) -> Box<dyn PreparedKernel> {
@@ -182,11 +165,10 @@ impl DistortionKernel for EmdKernel {
 
 impl PreparedKernel for EmdKernel {
     fn score_patch(&self, patched: &PatchedCloud<'_>) -> Result<f64> {
-        Ok(self
-            .pipeline()
+        GridEmd::new(self.bins)
             .distance_patched(patched)
-            .map_err(distortion_err)?
-            .emd)
+            .map(|report| report.emd)
+            .map_err(distortion_err)
     }
 }
 
@@ -207,11 +189,9 @@ impl DistortionKernel for KlKernel {
     }
 
     fn score_rows(&self, rows_d: &[Vec<f64>], rows_c: &[Vec<f64>]) -> Result<f64> {
-        let spec = GridSpec::covering(rows_d, rows_c, self.bins)
-            .ok_or_else(|| FrameworkError::Distortion("empty data".into()))?;
-        let qd = quantize(&spec, rows_d);
-        let qc = quantize(&spec, rows_c);
-        kl_from_quants(&qd, &qc)
+        let pair =
+            GridPair::rows(rows_d, rows_c, self.bins, Cover::MinMax).map_err(distortion_err)?;
+        Ok(kl_from_quants(pair.dirty(), pair.cleaned()))
     }
 
     fn prepare(&self, _cache: &SignatureCache) -> Box<dyn PreparedKernel> {
@@ -221,50 +201,17 @@ impl DistortionKernel for KlKernel {
 
 impl PreparedKernel for KlKernel {
     fn score_patch(&self, patched: &PatchedCloud<'_>) -> Result<f64> {
-        let cache = patched.cache();
-        if cache.rows().is_empty() {
-            return Err(FrameworkError::Distortion("empty data".into()));
-        }
-        // Min–max cover over both clouds, read from the cached + derived
-        // sorted columns by rank selection — bit-identical to
-        // `GridSpec::covering` on the materialized union.
-        let pairs: Vec<(&[f64], &[f64])> = cache
-            .sorted_columns()
-            .iter()
-            .zip(patched.sorted_columns())
-            .map(|(a, b)| (a.as_slice(), b.as_slice()))
-            .collect();
-        let spec = GridSpec::from_sorted_column_pairs_quantiles(&pairs, self.bins, 0.0, 1.0);
-        let scale = vec![1.0; spec.dim()];
-        let side = match cache.side_for(&spec, &scale) {
-            Ok(side) => side,
-            Err(_) => {
-                return Err(FrameworkError::Distortion(
-                    "no complete records to compare".into(),
-                ))
-            }
-        };
-        let qc = patched.quantize_on(&spec, &side.quant);
-        if side.quant.counts.is_none() || qc.counts.is_none() {
-            // Grid exceeds the dense budget: no incremental histogram to
-            // edit; take the materialized reference path.
-            return self.score_rows(cache.rows(), &patched.materialize());
-        }
-        kl_from_quants(&side.quant, &qc)
+        let pair = GridPair::patched(patched, self.bins, Cover::MinMax).map_err(distortion_err)?;
+        Ok(kl_from_quants(pair.dirty(), pair.cleaned()))
     }
 }
 
-/// KL between two quantizations of the same grid, aligned over the union
-/// of occupied cells in ascending cell order. Works off dense counts when
-/// both sides have them (the incremental path) and the sparse pair lists
+/// KL between two quantizations of the same grid (both with mass),
+/// aligned over the union of occupied cells in ascending cell order. Works
+/// off dense counts when both sides have them and the sparse pair lists
 /// otherwise; both alignments enumerate identical cells in identical order
 /// with identical masses, so the result is bit-identical either way.
-fn kl_from_quants(qd: &CloudQuant, qc: &CloudQuant) -> Result<f64> {
-    if qd.total == 0.0 || qc.total == 0.0 {
-        return Err(FrameworkError::Distortion(
-            "no complete records to compare".into(),
-        ));
-    }
+fn kl_from_quants(qd: &CloudQuant, qc: &CloudQuant) -> f64 {
     let (mut p, mut q) = (Vec::new(), Vec::new());
     match (&qd.counts, &qc.counts) {
         (Some(cd), Some(cc)) => {
@@ -297,7 +244,7 @@ fn kl_from_quants(qd: &CloudQuant, qc: &CloudQuant) -> Result<f64> {
     // KL is ≥ 0 in exact arithmetic, but its rounded sum can dip just
     // below 0 when the two histograms nearly agree; clamp it to keep the
     // kernel contract that every score is ≥ 0.
-    Ok(kl_divergence(&p, &q, KL_EPSILON).max(0.0))
+    kl_divergence(&p, &q, KL_EPSILON).max(0.0)
 }
 
 // ---------------------------------------------------------------------------
@@ -511,29 +458,10 @@ marginal_kernel!(
 // ---------------------------------------------------------------------------
 
 /// Energy distance between the grid-quantized clouds, on the same robust
-/// cover and normalized axis scaling as the EMD pipeline's defaults.
+/// grid and normalized signatures as EMD.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EnergyKernel {
     pub bins: usize,
-}
-
-/// Robust-cover half-width, matching [`GridEmd`]'s default.
-const ENERGY_COVER_Z: f64 = 5.0;
-
-/// Normalized per-axis coordinate divisors (each axis divided by its grid
-/// range), matching [`DistanceScaling::Normalized`].
-fn normalized_scale(spec: &GridSpec) -> Vec<f64> {
-    spec.axes()
-        .iter()
-        .map(|ax| {
-            let range = ax.hi - ax.lo;
-            if range > 0.0 {
-                range
-            } else {
-                1.0
-            }
-        })
-        .collect()
 }
 
 /// Energy distance `2·E‖X−Y‖ − E‖X−X'‖ − E‖Y−Y'‖` between two discrete
@@ -563,20 +491,9 @@ impl DistortionKernel for EnergyKernel {
     }
 
     fn score_rows(&self, rows_d: &[Vec<f64>], rows_c: &[Vec<f64>]) -> Result<f64> {
-        let columns = sorted_union_columns(rows_d, rows_c)
-            .ok_or_else(|| FrameworkError::Distortion("empty data".into()))?;
-        let spec = GridSpec::from_sorted_columns_robust(&columns, self.bins, ENERGY_COVER_Z);
-        let scale = normalized_scale(&spec);
-        let qd = quantize(&spec, rows_d);
-        let qc = quantize(&spec, rows_c);
-        if qd.total == 0.0 || qc.total == 0.0 {
-            return Err(FrameworkError::Distortion(
-                "no complete records to compare".into(),
-            ));
-        }
-        let sig_d = scaled_signature(qd.pairs, &scale).map_err(distortion_err)?;
-        let sig_c = scaled_signature(qc.pairs, &scale).map_err(distortion_err)?;
-        Ok(energy_distance(&sig_d, &sig_c))
+        GridPair::rows(rows_d, rows_c, self.bins, Cover::Robust)
+            .and_then(|pair| pair.with_signatures(energy_distance))
+            .map_err(distortion_err)
     }
 
     fn prepare(&self, _cache: &SignatureCache) -> Box<dyn PreparedKernel> {
@@ -586,34 +503,9 @@ impl DistortionKernel for EnergyKernel {
 
 impl PreparedKernel for EnergyKernel {
     fn score_patch(&self, patched: &PatchedCloud<'_>) -> Result<f64> {
-        let cache = patched.cache();
-        if cache.rows().is_empty() {
-            return Err(FrameworkError::Distortion("empty data".into()));
-        }
-        let pairs: Vec<(&[f64], &[f64])> = cache
-            .sorted_columns()
-            .iter()
-            .zip(patched.sorted_columns())
-            .map(|(a, b)| (a.as_slice(), b.as_slice()))
-            .collect();
-        let spec = GridSpec::from_sorted_column_pairs_robust(&pairs, self.bins, ENERGY_COVER_Z);
-        let scale = normalized_scale(&spec);
-        let side = match cache.side_for(&spec, &scale) {
-            Ok(side) => side,
-            Err(_) => {
-                return Err(FrameworkError::Distortion(
-                    "no complete records to compare".into(),
-                ))
-            }
-        };
-        let qc = patched.quantize_on(&spec, &side.quant);
-        if qc.total == 0.0 {
-            return Err(FrameworkError::Distortion(
-                "no complete records to compare".into(),
-            ));
-        }
-        let sig_c = scaled_signature(qc.pairs, &scale).map_err(distortion_err)?;
-        Ok(energy_distance(&side.signature, &sig_c))
+        GridPair::patched(patched, self.bins, Cover::Robust)
+            .and_then(|pair| pair.with_signatures(energy_distance))
+            .map_err(distortion_err)
     }
 }
 
@@ -649,7 +541,15 @@ mod tests {
                 .collect(),
             vec![(11, vec![f64::NAN, 0.0, 0.0]), (7, vec![10.0, 1.0, 1.0])],
         ];
-        for metric in DistortionMetric::full_suite() {
+        // 41 bins per axis over 3 axes (68 921 cells) exceed the dense
+        // histogram budget, pinning the sparse-grid path of every grid
+        // kernel.
+        let sparse = [
+            DistortionMetric::Emd { bins: 41 },
+            DistortionMetric::KlDivergence { bins: 41 },
+            DistortionMetric::Energy { bins: 41 },
+        ];
+        for metric in DistortionMetric::full_suite().into_iter().chain(sparse) {
             let kernel = metric.kernel();
             let cache = SignatureCache::new(base.clone());
             let prepared = kernel.prepare(&cache);
@@ -706,9 +606,8 @@ mod tests {
         // The value is exactly the shared-contract divergence: align both
         // histograms over the union of occupied cells and smooth with
         // KL_EPSILON.
-        let spec = GridSpec::covering(&dirty, &cleaned, 6).unwrap();
-        let qd = quantize(&spec, &dirty);
-        let qc = quantize(&spec, &cleaned);
+        let pair = GridPair::rows(&dirty, &cleaned, 6, Cover::MinMax).unwrap();
+        let (qd, qc) = (pair.dirty(), pair.cleaned());
         let (mut p, mut q) = (Vec::new(), Vec::new());
         for (d, c) in qd
             .counts
@@ -750,7 +649,7 @@ mod tests {
             q.counts.iter().flatten().map(|c| c / q.total).collect()
         };
         assert!(kl_divergence(&shares(&qd), &shares(&qc), KL_EPSILON) < 0.0);
-        assert_eq!(kl_from_quants(&qd, &qc).unwrap(), 0.0);
+        assert_eq!(kl_from_quants(&qd, &qc), 0.0);
     }
 
     #[test]

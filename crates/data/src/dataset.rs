@@ -1,4 +1,4 @@
-use crate::{NodeId, Record, TimeSeries};
+use crate::{NodeId, TimeSeries};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -152,19 +152,6 @@ impl Dataset {
         self.num_records() * self.num_attributes()
     }
 
-    /// Pools every record of every series, in series order then time order.
-    ///
-    /// This is the flattening the paper uses to compute statistical
-    /// distortion: "we computed EMD treating each time instance as a
-    /// separate data point" (§6.1).
-    pub fn pooled_records(&self) -> Vec<Record> {
-        let mut out = Vec::with_capacity(self.num_records());
-        for s in &self.series {
-            out.extend(s.records());
-        }
-        out
-    }
-
     /// Pools all present values of one attribute across series and time.
     pub fn pooled_attribute(&self, attr: usize) -> Vec<f64> {
         let mut out = Vec::new();
@@ -193,17 +180,6 @@ impl Dataset {
                 .iter()
                 .zip(&other.series)
                 .all(|(a, b)| a.same_data(b))
-    }
-
-    /// A dataset of the same schema whose series are the `start..end` time
-    /// window of every series (each clipped to its own length; series that
-    /// end before `start` contribute an empty slice). The §3.3 windowed
-    /// workloads operate on these slices.
-    pub fn window_slice(&self, start: usize, end: usize) -> Dataset {
-        Dataset {
-            attributes: self.attributes.clone(),
-            series: self.series.iter().map(|s| s.slice(start, end)).collect(),
-        }
     }
 
     /// Builds a new dataset with the same schema from a subset of series
@@ -269,7 +245,6 @@ mod tests {
         let ds = make(4);
         assert_eq!(ds.num_records(), 12);
         assert_eq!(ds.num_cells(), 24);
-        assert_eq!(ds.pooled_records().len(), 12);
     }
 
     #[test]

@@ -35,11 +35,6 @@ impl NodeId {
         self.rnc == other.rnc && self.tower == other.tower
     }
 
-    /// Whether two sectors report to the same RNC.
-    pub fn same_rnc(&self, other: &NodeId) -> bool {
-        self.rnc == other.rnc
-    }
-
     /// Whether `self` and `other` are neighbours: distinct sectors on the
     /// same tower. Outlier detection (§3.3) conditions on the window history
     /// of a node's neighbours.
@@ -71,7 +66,6 @@ mod tests {
         assert!(a.is_neighbor(&b));
         assert!(!a.is_neighbor(&a));
         assert!(!a.is_neighbor(&c));
-        assert!(a.same_rnc(&c));
         assert!(!a.same_tower(&c));
     }
 

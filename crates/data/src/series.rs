@@ -24,18 +24,6 @@ pub struct Record {
     pub values: Vec<f64>,
 }
 
-impl Record {
-    /// Whether every attribute of the record is missing.
-    pub fn fully_missing(&self) -> bool {
-        self.values.iter().all(|&x| is_missing(x))
-    }
-
-    /// Whether at least one attribute is missing.
-    pub fn any_missing(&self) -> bool {
-        self.values.iter().any(|&x| is_missing(x))
-    }
-}
-
 impl TimeSeries {
     /// Creates a series of `num_attributes × len` with every cell missing.
     pub fn new(node: NodeId, num_attributes: usize, len: usize) -> Self {
@@ -144,18 +132,6 @@ impl TimeSeries {
         self.values.iter().filter(|&&x| is_missing(x)).count()
     }
 
-    /// Number of time steps where at least one attribute is present.
-    ///
-    /// The paper normalizes each node's glitch score by the amount of data
-    /// the node actually reported (`T_ijk`); fully-missing trailing steps are
-    /// still counted as reported-but-missing here, so this returns `len`
-    /// unless callers trim.
-    pub fn populated_steps(&self) -> usize {
-        (0..self.len)
-            .filter(|&t| (0..self.num_attributes).any(|a| !self.is_missing(a, t)))
-            .count()
-    }
-
     /// Bitwise data equality that treats NaN (missing) cells as equal.
     ///
     /// The derived `PartialEq` follows IEEE semantics where `NaN != NaN`,
@@ -191,15 +167,6 @@ impl TimeSeries {
         }
     }
 
-    /// Applies `f` to every present (non-missing) cell of attribute `attr`.
-    pub fn map_attribute_in_place(&mut self, attr: usize, mut f: impl FnMut(f64) -> f64) {
-        for x in self.attribute_mut(attr) {
-            if !is_missing(*x) {
-                *x = f(*x);
-            }
-        }
-    }
-
     #[inline]
     fn index(&self, attr: usize, t: usize) -> usize {
         assert!(
@@ -224,7 +191,6 @@ mod tests {
         assert_eq!(s.len(), 5);
         assert_eq!(s.num_attributes(), 3);
         assert_eq!(s.missing_cells(), 15);
-        assert_eq!(s.populated_steps(), 0);
     }
 
     #[test]
@@ -259,34 +225,16 @@ mod tests {
         let s = TimeSeries::from_columns(node(), vec![vec![1.0, f64::NAN], vec![3.0, 4.0]]);
         let r0 = s.record(0);
         assert_eq!(r0.values, vec![1.0, 3.0]);
-        assert!(!r0.any_missing());
         let r1 = s.record(1);
-        assert!(r1.any_missing());
-        assert!(!r1.fully_missing());
+        assert!(r1.values[0].is_nan());
+        assert_eq!(r1.values[1], 4.0);
         assert_eq!(s.records().count(), 2);
     }
 
     #[test]
     fn fully_missing_record() {
         let s = TimeSeries::new(node(), 2, 1);
-        assert!(s.record(0).fully_missing());
-    }
-
-    #[test]
-    fn populated_steps_counts_partial_rows() {
-        let mut s = TimeSeries::new(node(), 2, 4);
-        s.set(0, 1, 5.0);
-        s.set(1, 3, 6.0);
-        assert_eq!(s.populated_steps(), 2);
-    }
-
-    #[test]
-    fn map_attribute_skips_missing() {
-        let mut s = TimeSeries::from_columns(node(), vec![vec![1.0, f64::NAN, 3.0]]);
-        s.map_attribute_in_place(0, |x| x * 10.0);
-        assert_eq!(s.get(0, 0), 10.0);
-        assert!(s.is_missing(0, 1));
-        assert_eq!(s.get(0, 2), 30.0);
+        assert!(s.record(0).values.iter().all(|x| x.is_nan()));
     }
 
     #[test]

@@ -58,18 +58,6 @@ impl Topology {
             + node.sector as usize
     }
 
-    /// Inverse of [`Topology::sector_index`].
-    pub fn sector_at(&self, index: usize) -> NodeId {
-        assert!(index < self.num_sectors(), "sector index out of range");
-        let spt = self.sectors_per_tower as usize;
-        let tpr = self.towers_per_rnc as usize;
-        let sector = (index % spt) as u32;
-        let tower_flat = index / spt;
-        let tower = (tower_flat % tpr) as u32;
-        let rnc = (tower_flat / tpr) as u32;
-        NodeId::new(rnc, tower, sector)
-    }
-
     /// Whether the node is addressable within this topology.
     pub fn contains(&self, node: NodeId) -> bool {
         node.rnc < self.rncs
@@ -144,7 +132,6 @@ mod tests {
         let t = Topology::new(2, 3, 4);
         for (i, node) in t.sectors().enumerate() {
             assert_eq!(t.sector_index(node), i);
-            assert_eq!(t.sector_at(i), node);
         }
     }
 

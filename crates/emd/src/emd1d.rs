@@ -1,5 +1,4 @@
 use crate::{EmdError, Result};
-use sd_stats::Histogram;
 
 /// Exact 1-D EMD between two empirical samples (each with uniform weights).
 ///
@@ -74,39 +73,9 @@ pub fn emd_1d_weighted(
     Ok(emd)
 }
 
-/// Exact 1-D EMD between two histograms sharing one binning spec.
-///
-/// The ground distance between bins is `|center_i − center_j|`; for shared
-/// uniform bins this reduces to the cumulative-difference sum times the
-/// bin width. This is the paper's cross-bin `EMD(P, Q)` restricted to one
-/// dimension, and is *not* affected by which bin the mass falls in within
-/// a bin (§3.5: EMD "is not affected by binning differences").
-pub fn emd_1d_histograms(p: &Histogram, q: &Histogram) -> Result<f64> {
-    if p.spec() != q.spec() {
-        return Err(EmdError::CostShape {
-            expected: (p.counts().len(), p.counts().len()),
-            got: (p.counts().len(), q.counts().len()),
-        });
-    }
-    if p.total() == 0.0 || q.total() == 0.0 {
-        return Err(EmdError::EmptyInput);
-    }
-    let pp = p.probabilities();
-    let qq = q.probabilities();
-    let width = p.spec().width();
-    let mut cum = 0.0;
-    let mut emd = 0.0;
-    for (a, b) in pp.iter().zip(&qq) {
-        cum += a - b;
-        emd += cum.abs() * width;
-    }
-    Ok(emd)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sd_stats::HistogramSpec;
 
     #[test]
     fn identical_samples_zero() {
@@ -161,37 +130,6 @@ mod tests {
         let d1 = emd_1d_samples(&a, &b).unwrap();
         let d2 = emd_1d_samples(&b, &a).unwrap();
         assert!((d1 - d2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_emd_matches_sample_emd_on_bin_centers() {
-        let spec = HistogramSpec::new(0.0, 10.0, 10);
-        // Samples placed exactly at bin centres so quantization is exact.
-        let a = [0.5, 1.5, 2.5, 3.5];
-        let b = [4.5, 5.5, 6.5, 7.5];
-        let ha = Histogram::from_values(spec, &a);
-        let hb = Histogram::from_values(spec, &b);
-        let d_hist = emd_1d_histograms(&ha, &hb).unwrap();
-        let d_samp = emd_1d_samples(&a, &b).unwrap();
-        assert!((d_hist - d_samp).abs() < 1e-12, "{d_hist} vs {d_samp}");
-    }
-
-    #[test]
-    fn histogram_emd_requires_shared_spec() {
-        let h1 = Histogram::from_values(HistogramSpec::new(0.0, 1.0, 4), &[0.5]);
-        let h2 = Histogram::from_values(HistogramSpec::new(0.0, 2.0, 4), &[0.5]);
-        assert!(emd_1d_histograms(&h1, &h2).is_err());
-    }
-
-    #[test]
-    fn empty_histogram_rejected() {
-        let spec = HistogramSpec::new(0.0, 1.0, 2);
-        let h1 = Histogram::from_values(spec, &[0.5]);
-        let h0 = Histogram::empty(spec);
-        assert!(matches!(
-            emd_1d_histograms(&h1, &h0),
-            Err(EmdError::EmptyInput)
-        ));
     }
 
     #[test]

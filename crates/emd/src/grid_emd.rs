@@ -1,44 +1,20 @@
-use crate::signature::{quantize, scaled_signature, PatchedCloud};
-use crate::{sinkhorn, EmdError, Result, Signature, SignatureCache, SinkhornParams};
-use sd_stats::{sorted_union_columns, GridSpec};
+use crate::grid_pair::{Cover, GridPair};
+use crate::signature::PatchedCloud;
+use crate::{sinkhorn, Result, Signature, SinkhornParams};
 
-/// How cell-centre coordinates are scaled before computing ground
-/// distances.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DistanceScaling {
-    /// Use raw data coordinates. Appropriate when all attributes share a
-    /// scale (e.g. the per-attribute distortion plots).
-    Raw,
-    /// Divide each axis by its grid range so every attribute contributes
-    /// comparably — telemetry KPIs span wildly different magnitudes
-    /// (volumes vs ratios), and without normalization the largest-scale
-    /// attribute dominates the distance.
-    Normalized,
-}
-
-/// How the shared grid's axis ranges are chosen.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CoverRule {
-    /// Span the exact min–max of the union.
-    MinMax,
-    /// Span the `[qlo, qhi]` quantile range of the union; values outside
-    /// clamp into the edge bins.
-    Quantile(f64, f64),
-    /// Span `median ± z · IQR` of the union (robust to heavy tails);
-    /// values outside clamp into the edge bins.
-    Robust {
-        /// Half-width in IQR units.
-        z: f64,
-    },
-}
+/// Occupied-cell-product budget above which [`GridEmd`] falls back from
+/// the exact transportation simplex to Sinkhorn. Sized so instances up to
+/// roughly 380×380 occupied cells stay exact: at those shapes one simplex
+/// solve is still cheaper than a converged Sinkhorn run.
+const MAX_EXACT_CELLS: usize = 150_000;
 
 /// Which solver produced a [`GridEmdReport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolverUsed {
     /// Exact transportation simplex.
     Simplex,
-    /// Entropic Sinkhorn approximation (signature exceeded
-    /// `max_exact_cells`).
+    /// Entropic Sinkhorn approximation (the occupied-cell product exceeded
+    /// the exact budget).
     Sinkhorn,
 }
 
@@ -48,16 +24,13 @@ pub enum SolverUsed {
 /// measure: pool the `v`-tuples of the dirty and cleaned data sets,
 /// quantize both onto one shared grid (so both distributions share a
 /// support, as Definition 1 requires), and solve the transportation problem
-/// between the occupied cells.
+/// between the occupied cells. The grid spans `median ± 5·IQR` of the union
+/// on every axis ([`Cover::Robust`]), and ground distances divide each axis
+/// by its grid range, since telemetry KPIs span wildly different
+/// magnitudes.
 #[derive(Debug, Clone)]
 pub struct GridEmd {
     bins_per_axis: usize,
-    scaling: DistanceScaling,
-    /// When `occupied_a * occupied_b` exceeds this, fall back to Sinkhorn.
-    max_exact_cells: usize,
-    sinkhorn_params: SinkhornParams,
-    /// How the per-axis ranges are chosen.
-    cover: CoverRule,
 }
 
 /// The result of a [`GridEmd::distance`] computation, with enough
@@ -78,63 +51,11 @@ pub struct GridEmdReport {
     pub solver: SolverUsed,
 }
 
-impl Default for GridEmd {
-    fn default() -> Self {
-        GridEmd {
-            bins_per_axis: 8,
-            scaling: DistanceScaling::Normalized,
-            max_exact_cells: 400_000,
-            sinkhorn_params: SinkhornParams::default(),
-            // Telemetry has extreme spikes; the robust cover keeps the
-            // bulk resolved while tails clamp into the edge bins.
-            cover: CoverRule::Robust { z: 5.0 },
-        }
-    }
-}
-
 impl GridEmd {
-    /// Creates a pipeline with `bins_per_axis` bins on every axis and
-    /// normalized distance scaling.
+    /// Creates a pipeline with `bins_per_axis` bins on every axis.
     pub fn new(bins_per_axis: usize) -> Self {
         assert!(bins_per_axis >= 1, "need at least one bin per axis");
-        GridEmd {
-            bins_per_axis,
-            ..Default::default()
-        }
-    }
-
-    /// Sets the distance scaling.
-    pub fn with_scaling(mut self, scaling: DistanceScaling) -> Self {
-        self.scaling = scaling;
-        self
-    }
-
-    /// Sets the exact-solver budget (product of occupied cell counts).
-    pub fn with_max_exact_cells(mut self, cells: usize) -> Self {
-        self.max_exact_cells = cells;
-        self
-    }
-
-    /// Sets the Sinkhorn fallback parameters.
-    pub fn with_sinkhorn_params(mut self, params: SinkhornParams) -> Self {
-        self.sinkhorn_params = params;
-        self
-    }
-
-    /// Sets the axis-cover rule (out-of-range values clamp into the edge
-    /// bins for the quantile and robust rules).
-    pub fn with_cover(mut self, cover: CoverRule) -> Self {
-        if let CoverRule::Quantile(qlo, qhi) = cover {
-            assert!(
-                (0.0..=1.0).contains(&qlo) && (0.0..=1.0).contains(&qhi) && qlo < qhi,
-                "quantiles must satisfy 0 <= qlo < qhi <= 1"
-            );
-        }
-        if let CoverRule::Robust { z } = cover {
-            assert!(z > 0.0, "z must be positive");
-        }
-        self.cover = cover;
-        self
+        GridEmd { bins_per_axis }
     }
 
     /// Bins per axis.
@@ -146,44 +67,12 @@ impl GridEmd {
     /// any missing (NaN) coordinate are excluded from the density and
     /// reported in the diagnostics.
     pub fn distance(&self, a: &[Vec<f64>], b: &[Vec<f64>]) -> Result<GridEmdReport> {
-        let columns = sorted_union_columns(a, b).ok_or(EmdError::EmptyInput)?;
-        let spec = self.spec_from_sorted_columns(&columns);
-        let qa = quantize(&spec, a);
-        if qa.total == 0.0 {
-            return Err(EmdError::EmptyInput);
-        }
-        let scale = self.axis_scale(&spec);
-        let sig_a = scaled_signature(qa.pairs, &scale)?;
-        let qb = quantize(&spec, b);
-        self.solve_pair(&scale, &sig_a, qa.occupied, qa.skipped, qb)
-    }
-
-    /// Like [`GridEmd::distance`], but with the first cloud's quantization
-    /// state served from a [`SignatureCache`]: the cached sorted columns
-    /// feed the cover rule (merged with `b`'s columns instead of re-sorting
-    /// the union), and the cached cloud's histogram/signature for the
-    /// resulting grid is built at most once per distinct `(spec, scaling)`.
-    ///
-    /// Bit-identical to `self.distance(cache.rows(), b)`: both paths share
-    /// the sorted-column cover constructors and the same signature/solver
-    /// pipeline.
-    pub fn distance_cached(&self, cache: &SignatureCache, b: &[Vec<f64>]) -> Result<GridEmdReport> {
-        if cache.rows().is_empty() {
-            return Err(EmdError::EmptyInput);
-        }
-        let b_columns = cache.counterpart_columns(b);
-        let spec = self.spec_from_column_pairs(cache.sorted_columns(), &b_columns);
-        let scale = self.axis_scale(&spec);
-        let side = cache.side_for(&spec, &scale)?;
-        let qb = quantize(&spec, b);
-        self.solve_pair(&scale, &side.signature, side.occupied, side.skipped, qb)
+        solve(GridPair::rows(a, b, self.bins_per_axis, Cover::Robust)?)
     }
 
     /// EMD between the cached cloud and a [`PatchedCloud`] counterpart
-    /// (the cleaned sample as sparse row edits against the dirty one).
-    /// The cover rule consumes derived sorted columns, and the counterpart
-    /// histogram is the cached histogram with only the edited rows
-    /// re-binned. Bit-identical to
+    /// (the cleaned sample as sparse row edits against the dirty one),
+    /// through [`GridPair::patched`]. Bit-identical to
     /// `self.distance(cache.rows(), &patched.materialize())`.
     ///
     /// ```
@@ -212,136 +101,65 @@ impl GridEmd {
     /// assert!(patched.emd > 0.0);
     /// ```
     pub fn distance_patched(&self, patched: &PatchedCloud<'_>) -> Result<GridEmdReport> {
-        let cache = patched.cache();
-        if cache.rows().is_empty() {
-            return Err(EmdError::EmptyInput);
-        }
-        let b_columns = patched.sorted_columns();
-        let spec = self.spec_from_column_pairs(cache.sorted_columns(), b_columns);
-        let scale = self.axis_scale(&spec);
-        let side = cache.side_for(&spec, &scale)?;
-        let qb = patched.quantize_on(&spec, &side.quant);
-        self.solve_pair(&scale, &side.signature, side.occupied, side.skipped, qb)
+        solve(GridPair::patched(
+            patched,
+            self.bins_per_axis,
+            Cover::Robust,
+        )?)
     }
+}
 
-    /// The grid spec for pre-sorted per-axis union columns, under this
-    /// pipeline's cover rule.
-    fn spec_from_sorted_columns(&self, columns: &[Vec<f64>]) -> GridSpec {
-        match self.cover {
-            CoverRule::MinMax => {
-                GridSpec::from_sorted_columns_quantiles(columns, self.bins_per_axis, 0.0, 1.0)
-            }
-            CoverRule::Quantile(qlo, qhi) => {
-                GridSpec::from_sorted_columns_quantiles(columns, self.bins_per_axis, qlo, qhi)
-            }
-            CoverRule::Robust { z } => {
-                GridSpec::from_sorted_columns_robust(columns, self.bins_per_axis, z)
-            }
-        }
+/// The pipeline's back half: solve the transportation problem between the
+/// pair's two signatures.
+fn solve(pair: GridPair) -> Result<GridEmdReport> {
+    let (dirty, cleaned) = (pair.dirty(), pair.cleaned());
+    let (occupied_a, skipped_a) = (dirty.occupied, dirty.skipped);
+    let (occupied_b, skipped_b) = (cleaned.occupied, cleaned.skipped);
+    let (emd, solver) = pair.with_signatures(|a, b| solve_signatures(a, b, MAX_EXACT_CELLS))??;
+    Ok(GridEmdReport {
+        emd,
+        occupied_a,
+        occupied_b,
+        skipped_a,
+        skipped_b,
+        solver,
+    })
+}
+
+/// EMD between two signatures: exact when `|a| · |b| <= max_exact_cells`,
+/// debiased Sinkhorn otherwise. Exact solves run on this thread's shared
+/// cold arena — pure allocation reuse, bit-identical to a standalone
+/// [`crate::TransportProblem`] solve.
+pub(crate) fn solve_signatures(
+    sig_a: &Signature,
+    sig_b: &Signature,
+    max_exact_cells: usize,
+) -> Result<(f64, SolverUsed)> {
+    let wa = sig_a.normalized_weights();
+    let wb = sig_b.normalized_weights();
+    let cost = crate::ground_distance_matrix(sig_a.points(), sig_b.points());
+    if sig_a.len() * sig_b.len() <= max_exact_cells {
+        let emd = crate::batch::with_cold_arena(|arena| arena.solve(&wa, &wb, &cost))?;
+        return Ok((emd, SolverUsed::Simplex));
     }
-
-    /// The grid spec when each axis's union column is split into two
-    /// sorted halves (cached side + counterpart side) — same cover rules,
-    /// quantiles read by rank selection instead of merging.
-    fn spec_from_column_pairs(&self, a: &[Vec<f64>], b: &[Vec<f64>]) -> GridSpec {
-        let pairs: Vec<(&[f64], &[f64])> = a
-            .iter()
-            .zip(b)
-            .map(|(x, y)| (x.as_slice(), y.as_slice()))
-            .collect();
-        match self.cover {
-            CoverRule::MinMax => {
-                GridSpec::from_sorted_column_pairs_quantiles(&pairs, self.bins_per_axis, 0.0, 1.0)
-            }
-            CoverRule::Quantile(qlo, qhi) => {
-                GridSpec::from_sorted_column_pairs_quantiles(&pairs, self.bins_per_axis, qlo, qhi)
-            }
-            CoverRule::Robust { z } => {
-                GridSpec::from_sorted_column_pairs_robust(&pairs, self.bins_per_axis, z)
-            }
-        }
-    }
-
-    /// Per-axis coordinate divisors implied by the scaling mode.
-    fn axis_scale(&self, spec: &GridSpec) -> Vec<f64> {
-        match self.scaling {
-            DistanceScaling::Raw => vec![1.0; spec.dim()],
-            DistanceScaling::Normalized => spec
-                .axes()
-                .iter()
-                .map(|ax| {
-                    let range = ax.hi - ax.lo;
-                    if range > 0.0 {
-                        range
-                    } else {
-                        1.0
-                    }
-                })
-                .collect(),
-        }
-    }
-
-    /// Shared back half of the pipeline: solve the transportation problem
-    /// between the prepared `a` side and the quantized `b` side. Exact
-    /// solves run on this thread's shared cold arena — pure allocation
-    /// reuse, bit-identical to a standalone [`crate::TransportProblem`]
-    /// solve.
-    fn solve_pair(
-        &self,
-        scale: &[f64],
-        sig_a: &Signature,
-        occupied_a: usize,
-        skipped_a: usize,
-        qb: crate::signature::CloudQuant,
-    ) -> Result<GridEmdReport> {
-        if qb.total == 0.0 {
-            return Err(EmdError::EmptyInput);
-        }
-        let occupied_b = qb.occupied;
-        let skipped_b = qb.skipped;
-        let sig_b = scaled_signature(qb.pairs, scale)?;
-
-        let exact = sig_a.len() * sig_b.len() <= self.max_exact_cells;
-        let emd = if exact {
-            let wa = sig_a.normalized_weights();
-            let wb = sig_b.normalized_weights();
-            let cost = crate::ground_distance_matrix(sig_a.points(), sig_b.points());
-            crate::batch::with_cold_arena(|arena| arena.solve(&wa, &wb, &cost))?
-        } else {
-            let cost = crate::ground_distance_matrix(sig_a.points(), sig_b.points());
-            // Debiased Sinkhorn divergence: the raw entropic cost has a
-            // positive floor even for identical distributions (the plan is
-            // deliberately blurry), which would swamp small distances.
-            // Subtracting the self-transport terms removes that floor:
-            //   S(a,b) − ½ S(a,a) − ½ S(b,b).
-            let wa = sig_a.normalized_weights();
-            let wb = sig_b.normalized_weights();
-            let ab = sinkhorn(&wa, &wb, &cost, self.sinkhorn_params)?;
-            let cost_aa = crate::ground_distance_matrix(sig_a.points(), sig_a.points());
-            let cost_bb = crate::ground_distance_matrix(sig_b.points(), sig_b.points());
-            let aa = sinkhorn(&wa, &wa, &cost_aa, self.sinkhorn_params)?;
-            let bb = sinkhorn(&wb, &wb, &cost_bb, self.sinkhorn_params)?;
-            (ab - 0.5 * aa - 0.5 * bb).max(0.0)
-        };
-
-        Ok(GridEmdReport {
-            emd,
-            occupied_a,
-            occupied_b,
-            skipped_a,
-            skipped_b,
-            solver: if exact {
-                SolverUsed::Simplex
-            } else {
-                SolverUsed::Sinkhorn
-            },
-        })
-    }
+    // Debiased Sinkhorn divergence: the raw entropic cost has a positive
+    // floor even for identical distributions (the plan is deliberately
+    // blurry), which would swamp small distances. Subtracting the
+    // self-transport terms removes that floor:
+    //   S(a,b) − ½ S(a,a) − ½ S(b,b).
+    let params = SinkhornParams::default();
+    let ab = sinkhorn(&wa, &wb, &cost, params)?;
+    let cost_aa = crate::ground_distance_matrix(sig_a.points(), sig_a.points());
+    let cost_bb = crate::ground_distance_matrix(sig_b.points(), sig_b.points());
+    let aa = sinkhorn(&wa, &wa, &cost_aa, params)?;
+    let bb = sinkhorn(&wb, &wb, &cost_bb, params)?;
+    Ok(((ab - 0.5 * aa - 0.5 * bb).max(0.0), SolverUsed::Sinkhorn))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{EmdError, SignatureCache};
 
     fn cloud(points: &[(f64, f64)]) -> Vec<Vec<f64>> {
         points.iter().map(|&(x, y)| vec![x, y]).collect()
@@ -360,44 +178,45 @@ mod tests {
     fn shifted_cloud_has_positive_distance() {
         let a = cloud(&[(0.0, 0.0), (0.1, 0.1), (0.2, 0.0)]);
         let b = cloud(&[(5.0, 5.0), (5.1, 5.1), (5.2, 5.0)]);
-        let report = GridEmd::new(8)
-            .with_cover(CoverRule::MinMax)
-            .distance(&a, &b)
-            .unwrap();
-        assert!(report.emd > 0.5);
         // The robust cover widens the axes, shrinking normalized distances
         // but never erasing them.
-        let robust = GridEmd::new(8).distance(&a, &b).unwrap();
-        assert!(robust.emd > 0.05 && robust.emd <= report.emd + 1e-12);
+        let report = GridEmd::new(8).distance(&a, &b).unwrap();
+        assert!(report.emd > 0.05, "{}", report.emd);
     }
 
     #[test]
     fn distance_grows_with_shift() {
-        let base = cloud(&[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]);
-        let near = cloud(&[(1.0, 0.0), (2.0, 0.0), (3.0, 0.0)]);
-        let far = cloud(&[(7.0, 0.0), (8.0, 0.0), (9.0, 0.0)]);
-        let g = GridEmd::new(16).with_scaling(DistanceScaling::Raw);
+        // The cover spans the union, so the shift must stay small against
+        // the cloud's own spread for the normalized distance to track it.
+        let line = |shift: f64| -> Vec<Vec<f64>> {
+            (0..100).map(|i| vec![i as f64 + shift, 0.0]).collect()
+        };
+        let (base, near, far) = (line(0.0), line(5.0), line(30.0));
+        let g = GridEmd::new(16);
         let d_near = g.distance(&base, &near).unwrap().emd;
         let d_far = g.distance(&base, &far).unwrap().emd;
         assert!(d_far > d_near, "{d_far} vs {d_near}");
     }
 
     #[test]
-    fn raw_scaling_matches_1d_emd_for_line_clouds() {
-        // Points along one axis; grid EMD with fine bins ≈ exact 1-D EMD.
+    fn line_clouds_match_1d_emd_up_to_axis_range() {
+        // Points along one axis; grid EMD with fine bins ≈ exact 1-D EMD,
+        // in units of the x axis's grid range (median ± 5·IQR).
         let a: Vec<Vec<f64>> = (0..50).map(|i| vec![i as f64, 0.0]).collect();
         let b: Vec<Vec<f64>> = (0..50).map(|i| vec![i as f64 + 10.0, 0.0]).collect();
-        let g = GridEmd::new(64)
-            .with_scaling(DistanceScaling::Raw)
-            .with_cover(CoverRule::MinMax);
-        let grid_d = g.distance(&a, &b).unwrap().emd;
+        let grid_d = GridEmd::new(64).distance(&a, &b).unwrap().emd;
         let a1: Vec<f64> = a.iter().map(|p| p[0]).collect();
         let b1: Vec<f64> = b.iter().map(|p| p[0]).collect();
         let exact = crate::emd_1d_samples(&a1, &b1).unwrap();
-        // Quantization error is bounded by the bin diagonal.
+        let union = [a1, b1].concat();
+        let iqr =
+            sd_stats::quantile(&union, 0.75).unwrap() - sd_stats::quantile(&union, 0.25).unwrap();
+        let range = 10.0 * iqr;
+        // Quantization error is bounded by the bin width.
         assert!(
-            (grid_d - exact).abs() < 2.0,
-            "grid {grid_d} vs exact {exact}"
+            (grid_d * range - exact).abs() < range / 64.0,
+            "grid {} vs exact {exact}",
+            grid_d * range
         );
     }
 
@@ -431,59 +250,13 @@ mod tests {
         let b: Vec<Vec<f64>> = (0..40)
             .map(|i| vec![(i % 8) as f64 + 0.4, (i / 8) as f64])
             .collect();
-        let report = GridEmd::new(8)
-            .with_max_exact_cells(4)
-            .with_sinkhorn_params(SinkhornParams {
-                regularization: 0.1,
-                max_iterations: 50_000,
-                tolerance: 1e-8,
-            })
-            .distance(&a, &b)
+        let pair = GridPair::rows(&a, &b, 8, Cover::Robust).unwrap();
+        let (emd, solver) = pair
+            .with_signatures(|x, y| solve_signatures(x, y, 4))
+            .unwrap()
             .unwrap();
-        assert_eq!(report.solver, SolverUsed::Sinkhorn);
-        assert!(report.emd.is_finite());
-    }
-
-    #[test]
-    fn cached_distance_is_bit_identical_to_direct() {
-        // Several counterpart clouds against one cached cloud, across cover
-        // rules and scalings: the cached path must reproduce the direct
-        // path bit for bit, hits and misses alike.
-        let a: Vec<Vec<f64>> = (0..60)
-            .map(|i| vec![(i % 10) as f64 * 1.3, (i / 10) as f64, (i % 7) as f64 * 0.2])
-            .collect();
-        let mut with_gap = a.clone();
-        with_gap[5][1] = f64::NAN;
-        let counterparts: Vec<Vec<Vec<f64>>> = vec![
-            a.clone(), // identical → same grid, memo hit on the second call
-            a.iter().map(|p| vec![p[0] + 2.0, p[1], p[2]]).collect(),
-            a.iter()
-                .map(|p| vec![p[0], p[1] * 3.0, p[2] + 1.0])
-                .collect(),
-            with_gap,
-        ];
-        for g in [
-            GridEmd::new(6),
-            GridEmd::new(4).with_scaling(DistanceScaling::Raw),
-            GridEmd::new(5).with_cover(CoverRule::MinMax),
-            GridEmd::new(5).with_cover(CoverRule::Quantile(0.05, 0.95)),
-        ] {
-            let cache = SignatureCache::new(a.clone());
-            for b in &counterparts {
-                let direct = g.distance(&a, b).unwrap();
-                let cached = g.distance_cached(&cache, b).unwrap();
-                assert_eq!(direct.emd.to_bits(), cached.emd.to_bits());
-                assert_eq!(direct.occupied_a, cached.occupied_a);
-                assert_eq!(direct.occupied_b, cached.occupied_b);
-                assert_eq!(direct.skipped_a, cached.skipped_a);
-                assert_eq!(direct.skipped_b, cached.skipped_b);
-                assert_eq!(direct.solver, cached.solver);
-            }
-            // Re-scoring the identical cloud hits the memo.
-            let before = cache.memoized();
-            g.distance_cached(&cache, &a).unwrap();
-            assert_eq!(cache.memoized(), before);
-        }
+        assert_eq!(solver, SolverUsed::Sinkhorn);
+        assert!(emd.is_finite());
     }
 
     #[test]
@@ -506,11 +279,7 @@ mod tests {
         let mut with_gap = a.clone();
         with_gap[5][0] = f64::NAN; // base cloud itself has a gap
         for base in [a.clone(), with_gap] {
-            for g in [
-                GridEmd::new(6),
-                GridEmd::new(4).with_scaling(DistanceScaling::Raw),
-                GridEmd::new(5).with_cover(CoverRule::MinMax),
-            ] {
+            for g in [GridEmd::new(6), GridEmd::new(4), GridEmd::new(5)] {
                 let cache = SignatureCache::new(base.clone());
                 for edits in &edit_sets {
                     let patched = PatchedCloud::new(&cache, edits.clone());
@@ -524,6 +293,11 @@ mod tests {
                     assert_eq!(direct.skipped_b, fast.skipped_b);
                     assert_eq!(direct.solver, fast.solver);
                 }
+                // Re-scoring the identical cloud hits the memo.
+                let before = cache.memoized();
+                g.distance_patched(&PatchedCloud::new(&cache, vec![]))
+                    .unwrap();
+                assert_eq!(cache.memoized(), before);
             }
         }
     }
@@ -557,20 +331,38 @@ mod tests {
     #[test]
     fn cached_distance_matches_direct_errors() {
         let a = cloud(&[(0.0, 0.0), (1.0, 1.0)]);
-        let empty: Vec<Vec<f64>> = Vec::new();
+        let g = GridEmd::new(4);
+        // A cleaning that blanks every row leaves the counterpart no
+        // density, on both paths.
         let cache = SignatureCache::new(a.clone());
+        let blank = PatchedCloud::new(
+            &cache,
+            vec![(0, vec![f64::NAN, 0.0]), (1, vec![1.0, f64::NAN])],
+        );
         assert!(matches!(
-            GridEmd::new(4).distance_cached(&cache, &empty),
+            g.distance(&a, &blank.materialize()),
             Err(EmdError::EmptyInput)
         ));
-        let all_missing = vec![vec![f64::NAN, f64::NAN]];
-        assert!(GridEmd::new(4)
-            .distance_cached(&cache, &all_missing)
-            .is_err());
+        assert!(matches!(
+            g.distance_patched(&blank),
+            Err(EmdError::EmptyInput)
+        ));
+        // An all-missing cached cloud behaves like an all-missing first
+        // argument.
+        let gaps = vec![vec![f64::NAN, 1.0], vec![0.0, f64::NAN]];
+        let gap_cache = SignatureCache::new(gaps.clone());
+        assert!(matches!(
+            g.distance(&gaps, &gaps),
+            Err(EmdError::EmptyInput)
+        ));
+        assert!(matches!(
+            g.distance_patched(&PatchedCloud::new(&gap_cache, vec![])),
+            Err(EmdError::EmptyInput)
+        ));
         // Empty cached cloud behaves like an empty first argument.
         let empty_cache = SignatureCache::new(Vec::new());
         assert!(matches!(
-            GridEmd::new(4).distance_cached(&empty_cache, &a),
+            g.distance_patched(&PatchedCloud::new(&empty_cache, vec![])),
             Err(EmdError::EmptyInput)
         ));
     }
@@ -582,7 +374,7 @@ mod tests {
         let b1 = cloud(&[(1.0, 0.0), (2.0, 1.0), (3.0, 0.0)]);
         let a2: Vec<Vec<f64>> = a1.iter().map(|p| vec![p[0] * 1000.0, p[1]]).collect();
         let b2: Vec<Vec<f64>> = b1.iter().map(|p| vec![p[0] * 1000.0, p[1]]).collect();
-        let g = GridEmd::new(8).with_scaling(DistanceScaling::Normalized);
+        let g = GridEmd::new(8);
         let d1 = g.distance(&a1, &b1).unwrap().emd;
         let d2 = g.distance(&a2, &b2).unwrap().emd;
         assert!((d1 - d2).abs() < 1e-9, "{d1} vs {d2}");

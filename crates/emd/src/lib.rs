@@ -7,7 +7,7 @@
 //! bins. Rust's EMD ecosystem is thin, so this crate implements the whole
 //! stack from scratch:
 //!
-//! * [`emd_1d_samples`] / [`emd_1d_histograms`] — closed-form exact 1-D EMD
+//! * [`emd_1d_samples`] / [`emd_1d_weighted`] — closed-form exact 1-D EMD
 //!   (the L1 distance between ECDFs);
 //! * [`TransportProblem`] — the transportation simplex (north-west-corner
 //!   start + MODI pivoting), the default exact solver for
@@ -15,10 +15,14 @@
 //! * [`MinCostFlow`] — successive-shortest-paths with potentials; slower
 //!   but structurally independent, used to cross-validate the simplex;
 //! * [`sinkhorn`] — entropy-regularized approximation for large signatures;
-//! * [`GridEmd`] — the end-to-end pipeline the framework calls: pool two
-//!   clouds of `v`-tuples, quantize onto a shared grid
-//!   ([`sd_stats::GridHistogram`]), and run an exact solver on the sparse
-//!   signatures (the approach of the paper's reference \[1\]).
+//! * [`GridPair`] — the front half every grid kernel (EMD, KL, energy
+//!   distance) shares: pool two clouds of `v`-tuples and quantize both onto
+//!   one shared grid under a min–max or robust [`Cover`], from rows or from
+//!   a [`SignatureCache`] plus [`PatchedCloud`] row edits, bit-identically;
+//! * [`GridEmd`] — the end-to-end pipeline the framework calls: a robust
+//!   [`GridPair`], then an exact solver on the sparse signatures (the
+//!   approach of the paper's reference \[1\]), Sinkhorn beyond the exact
+//!   budget.
 //!
 //! ```
 //! use sd_emd::emd_1d_samples;
@@ -41,18 +45,19 @@ mod emd1d;
 mod error;
 mod flow;
 mod grid_emd;
+mod grid_pair;
 mod signature;
 mod sinkhorn;
 mod transport;
 
 pub use batch::BatchTransport;
-pub use emd1d::{emd_1d_histograms, emd_1d_samples, emd_1d_weighted};
+pub use emd1d::{emd_1d_samples, emd_1d_weighted};
 pub use error::EmdError;
 pub use flow::MinCostFlow;
-pub use grid_emd::{CoverRule, DistanceScaling, GridEmd, GridEmdReport, SolverUsed};
+pub use grid_emd::{GridEmd, GridEmdReport, SolverUsed};
+pub use grid_pair::{Cover, GridPair};
 pub use signature::{
-    euclidean, ground_distance_matrix, quantize, scaled_signature, CachedSide, CloudQuant,
-    PatchedCloud, Signature, SignatureCache,
+    euclidean, ground_distance_matrix, CloudQuant, PatchedCloud, Signature, SignatureCache,
 };
 pub use sinkhorn::{sinkhorn, SinkhornParams};
 pub use transport::TransportProblem;

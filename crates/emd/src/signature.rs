@@ -101,10 +101,8 @@ impl Signature {
 
 /// A signature whose point coordinates were divided per-axis before
 /// construction, built from `(cell centre, probability)` pairs — e.g. a
-/// [`CloudQuant`]'s pairs. Shared by every [`crate::GridEmd`] path and by
-/// external distortion kernels that score quantized clouds on other
-/// distances (energy distance, KL) while reusing this crate's caches.
-pub fn scaled_signature(pairs: Vec<(Vec<f64>, f64)>, scale: &[f64]) -> Result<Signature> {
+/// [`CloudQuant`]'s pairs.
+pub(crate) fn scaled_signature(pairs: Vec<(Vec<f64>, f64)>, scale: &[f64]) -> Result<Signature> {
     let scaled: Vec<(Vec<f64>, f64)> = pairs
         .into_iter()
         .map(|(mut point, w)| {
@@ -155,8 +153,8 @@ fn flat_cell_of(spec: &GridSpec, point: &[f64]) -> Option<usize> {
 /// cell order in both (flat row-major index ⇔ lexicographic cell vector),
 /// and centres come from the same [`GridSpec::center_of`].
 ///
-/// Public so distortion kernels outside this crate (KL, energy distance)
-/// can score the same cached quantizations the EMD pipeline uses.
+/// Public so distortion kernels outside this crate (KL) can read the
+/// histograms a [`crate::GridPair`] holds.
 #[derive(Debug, Clone)]
 pub struct CloudQuant {
     /// Dense per-cell counts (flat row-major, ascending flat index ⇔
@@ -175,7 +173,7 @@ pub struct CloudQuant {
 /// Quantizes a cloud onto a grid, taking the dense flat-array path when
 /// the grid fits the dense budget (bit-identical to the sparse
 /// [`GridHistogram`] path; see [`CloudQuant`]).
-pub fn quantize(spec: &GridSpec, rows: &[Vec<f64>]) -> CloudQuant {
+pub(crate) fn quantize(spec: &GridSpec, rows: &[Vec<f64>]) -> CloudQuant {
     match dense_len(spec) {
         Some(len) => {
             // Two-phase chunked binning: first bin a block of rows into a
@@ -248,23 +246,18 @@ fn dense_quant(spec: &GridSpec, counts: Vec<f64>, total: f64, skipped: usize) ->
     }
 }
 
-/// One memoized quantization of the cached cloud: its scaled signature and
-/// histogram diagnostics for a particular `(grid, scale)`.
+/// One memoized quantization of the cached cloud: its histogram and scaled
+/// signature for a particular `(grid, scale)`.
 #[derive(Debug)]
-pub struct CachedSide {
+pub(crate) struct CachedSide {
     spec: GridSpec,
-    scale: Vec<f64>,
+    /// Per-axis divisors of the signature's cell centres.
+    pub(crate) scale: Vec<f64>,
     /// The full quantization, including dense counts when the grid fits
-    /// the dense budget (the patched-cloud pipeline — and any external
-    /// kernel calling [`PatchedCloud::quantize_on`] — edits a copy of
-    /// them).
-    pub quant: CloudQuant,
+    /// the dense budget (the patched-cloud pipeline edits a copy of them).
+    pub(crate) quant: CloudQuant,
     /// The scaled signature of the cached cloud on this grid.
-    pub signature: Signature,
-    /// Occupied cells of the cached cloud's histogram.
-    pub occupied: usize,
-    /// Rows skipped (missing coordinate) while histogramming.
-    pub skipped: usize,
+    pub(crate) signature: Signature,
 }
 
 /// Quantization cache for one fixed point cloud that is compared against
@@ -325,30 +318,10 @@ impl SignatureCache {
         &self.sorted_columns
     }
 
-    /// Per-axis sorted columns of a counterpart cloud, dimensioned against
-    /// the (non-empty) cached cloud.
-    pub(crate) fn counterpart_columns(&self, b: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        let dim = self.sorted_columns.len();
-        let mut out = Vec::with_capacity(dim);
-        for k in 0..dim {
-            let mut col_b = Vec::with_capacity(b.len());
-            for row in b {
-                assert_eq!(row.len(), dim, "ragged point cloud");
-                let x = row[k];
-                if !x.is_nan() {
-                    col_b.push(x);
-                }
-            }
-            col_b.sort_by(f64::total_cmp);
-            out.push(col_b);
-        }
-        out
-    }
-
     /// The cached cloud's quantization for `(spec, scale)`, built on first
     /// use and memoized. Errors with [`EmdError::EmptyInput`] when the
     /// cloud contributes no density on the grid (no complete rows).
-    pub fn side_for(&self, spec: &GridSpec, scale: &[f64]) -> Result<Arc<CachedSide>> {
+    pub(crate) fn side_for(&self, spec: &GridSpec, scale: &[f64]) -> Result<Arc<CachedSide>> {
         {
             let memo = self.memo.lock();
             if let Some(entry) = memo.iter().find(|e| e.spec == *spec && e.scale == scale) {
@@ -366,8 +339,6 @@ impl SignatureCache {
         let entry = Arc::new(CachedSide {
             spec: spec.clone(),
             scale: scale.to_vec(),
-            occupied: quant.occupied,
-            skipped: quant.skipped,
             quant,
             signature,
         });
@@ -384,16 +355,16 @@ impl SignatureCache {
 /// [`SignatureCache`]'s cloud: row `index` is replaced wholesale by a new
 /// row, all other rows are shared.
 ///
-/// This is how the experiment engine hands a *cleaned* sample to the EMD
-/// pipeline: the cleaned cloud is the dirty cloud with a few percent of
-/// rows rewritten, so its sorted columns are derived from the cached
-/// sorted columns in `O(N + k log k)` (remove old values, merge new ones)
-/// and — on dense grids — its histogram is the cached histogram with `k`
-/// rows re-binned, instead of re-sorting and re-binning all `N` rows per
-/// comparison. All derivations are exact: per-cell masses are integer
+/// This is how the experiment engine hands a *cleaned* sample to the
+/// distortion kernels: the cleaned cloud is the dirty cloud with a few
+/// percent of rows rewritten, so its sorted columns are derived from the
+/// cached sorted columns in `O(N + k log k)` (remove old values, merge new
+/// ones) and — on dense grids — its histogram is the cached histogram with
+/// `k` rows re-binned, instead of re-sorting and re-binning all `N` rows
+/// per comparison. All derivations are exact: per-cell masses are integer
 /// counts and multiset edits under [`f64::total_cmp`] are bit-precise, so
-/// [`crate::GridEmd::distance_patched`] equals the unpatched pipeline on
-/// the materialized cloud bit for bit.
+/// [`crate::GridPair::patched`] equals [`crate::GridPair::rows`] on the
+/// materialized cloud bit for bit.
 #[derive(Debug)]
 pub struct PatchedCloud<'a> {
     cache: &'a SignatureCache,
@@ -488,7 +459,7 @@ impl<'a> PatchedCloud<'a> {
     /// cached cloud's own quantization on the same `spec`, i.e.
     /// [`CachedSide::quant`]); falls back to materializing on sparse
     /// grids. Bit-identical to [`quantize`] on the materialized cloud.
-    pub fn quantize_on(&self, spec: &GridSpec, base: &CloudQuant) -> CloudQuant {
+    pub(crate) fn quantize_on(&self, spec: &GridSpec, base: &CloudQuant) -> CloudQuant {
         match &base.counts {
             Some(counts) => {
                 let mut counts = counts.clone();

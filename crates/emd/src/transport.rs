@@ -196,16 +196,6 @@ impl TransportProblem {
         })
     }
 
-    /// Number of supply nodes.
-    pub fn num_supplies(&self) -> usize {
-        self.n
-    }
-
-    /// Number of demand nodes.
-    pub fn num_demands(&self) -> usize {
-        self.m
-    }
-
     /// The flow matrix (row-major `n × m`).
     ///
     /// Before [`solve`](Self::solve) has run this is all zeros — it is the

@@ -13,7 +13,7 @@
 //! * [`OutlierDetector`] — 3-σ limits calibrated on the ideal data set
 //!   `D_I`, with optional attribute transforms and a p-value output mode;
 //! * [`GlitchDetector`] — the orchestrator producing annotations for a
-//!   whole [`Dataset`];
+//!   whole [`Dataset`](sd_data::Dataset);
 //! * [`GlitchIndex`] — the weighted glitch score
 //!   `G(D) = I₁ₓᵥ [Σ_ijk Σ_t G_t,ijk / T_ijk] W`;
 //! * [`GlitchReport`] — record-level percentages (the Table 1 quantities)
@@ -25,7 +25,6 @@ mod detector;
 mod index;
 mod matrix;
 mod report;
-mod temporal;
 mod types;
 
 pub use constraints::{Constraint, ConstraintSet};
@@ -33,25 +32,12 @@ pub use detector::{GlitchDetector, OutlierDetector, WindowedOutlierDetector};
 pub use index::{GlitchIndex, GlitchWeights};
 pub use matrix::GlitchMatrix;
 pub use report::{co_occurrence, counts_per_time, CoOccurrence, GlitchReport};
-pub use temporal::{spatial_concentration, CountingProcess};
 pub use types::GlitchType;
-
-use sd_data::Dataset;
-
-/// Detects all glitches in `dataset` with the given detector configuration,
-/// returning one [`GlitchMatrix`] per series (aligned by index).
-pub fn detect_all(detector: &GlitchDetector, dataset: &Dataset) -> Vec<GlitchMatrix> {
-    dataset
-        .series()
-        .iter()
-        .map(|s| detector.detect_series(s))
-        .collect()
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sd_data::{NodeId, TimeSeries};
+    use sd_data::{Dataset, NodeId, TimeSeries};
 
     #[test]
     fn end_to_end_detection_smoke() {
@@ -67,7 +53,7 @@ mod tests {
             ConstraintSet::new(vec![Constraint::NonNegative { attr: 0 }]),
             None,
         );
-        let matrices = detect_all(&detector, &ds);
+        let matrices = detector.detect_dataset(&ds);
         assert_eq!(matrices.len(), 1);
         let g = &matrices[0];
         assert!(g.get(0, GlitchType::Missing, 2));

@@ -145,26 +145,6 @@ impl CholeskyFactor {
         self.l.mat_vec(z)
     }
 
-    /// Determinant of the original matrix `A = L Lᵀ`
-    /// (the product of squared diagonal entries of `L`).
-    pub fn determinant(&self) -> f64 {
-        let mut det = 1.0;
-        for i in 0..self.dim() {
-            let d = self.l[(i, i)];
-            det *= d * d;
-        }
-        det
-    }
-
-    /// Log-determinant of `A`; numerically preferable to `determinant().ln()`.
-    pub fn log_determinant(&self) -> f64 {
-        let mut acc = 0.0;
-        for i in 0..self.dim() {
-            acc += self.l[(i, i)].ln();
-        }
-        2.0 * acc
-    }
-
     /// Explicit inverse of `A`. Only sensible for the tiny matrices this
     /// crate targets; prefer [`CholeskyFactor::solve`] where possible.
     pub fn inverse(&self) -> Result<Matrix> {
@@ -245,14 +225,6 @@ mod tests {
         // The regularized factor should still be close to the original.
         let rec = c.l().mat_mul(&c.l().transpose()).unwrap();
         assert!(rec.max_abs_diff(&a).unwrap() < 1e-3);
-    }
-
-    #[test]
-    fn determinant_of_diagonal() {
-        let a = Matrix::from_diagonal(&[4.0, 9.0]);
-        let c = CholeskyFactor::new(&a).unwrap();
-        assert!((c.determinant() - 36.0).abs() < 1e-12);
-        assert!((c.log_determinant() - 36.0_f64.ln()).abs() < 1e-12);
     }
 
     #[test]

@@ -32,19 +32,6 @@ impl Matrix {
         m
     }
 
-    /// Creates a matrix from a flat row-major buffer.
-    ///
-    /// Fails if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
-        if data.len() != rows * cols {
-            return Err(LinalgError::DimensionMismatch {
-                expected: format!("{} elements", rows * cols),
-                got: format!("{} elements", data.len()),
-            });
-        }
-        Ok(Matrix { rows, cols, data })
-    }
-
     /// Creates a matrix from row slices. All rows must have the same length.
     pub fn from_rows(rows: &[&[f64]]) -> Result<Self> {
         if rows.is_empty() {
@@ -69,16 +56,6 @@ impl Matrix {
             cols,
             data,
         })
-    }
-
-    /// Creates a diagonal matrix from the given diagonal entries.
-    pub fn from_diagonal(diag: &[f64]) -> Self {
-        let n = diag.len();
-        let mut m = Matrix::zeros(n, n);
-        for (i, &d) in diag.iter().enumerate() {
-            m[(i, i)] = d;
-        }
-        m
     }
 
     /// Number of rows.
@@ -299,15 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn from_vec_checks_length() {
-        assert!(Matrix::from_vec(2, 2, vec![1.0; 4]).is_ok());
-        assert!(matches!(
-            Matrix::from_vec(2, 2, vec![1.0; 3]),
-            Err(LinalgError::DimensionMismatch { .. })
-        ));
-    }
-
-    #[test]
     fn from_rows_checks_raggedness() {
         let err = Matrix::from_rows(&[&[1.0, 2.0], &[3.0]]);
         assert!(matches!(err, Err(LinalgError::DimensionMismatch { .. })));
@@ -380,14 +348,6 @@ mod tests {
         let a = Matrix::from_rows(&[&[2.0, 1.0], &[0.0, 3.0]]).unwrap();
         assert!(!a.is_symmetric(1e-12));
         assert!(!Matrix::zeros(2, 3).is_symmetric(1e-12));
-    }
-
-    #[test]
-    fn diagonal_constructor() {
-        let d = Matrix::from_diagonal(&[1.0, 2.0]);
-        assert_eq!(d[(0, 0)], 1.0);
-        assert_eq!(d[(1, 1)], 2.0);
-        assert_eq!(d[(0, 1)], 0.0);
     }
 
     #[test]

@@ -238,11 +238,6 @@ impl StreamingService {
         })
     }
 
-    /// Number of ingestion shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards
-    }
-
     /// Routes one row to its shard, blocking while that shard's bounded
     /// channel is full (backpressure — rows are never dropped). Fails
     /// with [`FrameworkError::ShardFailed`] if the shard has terminated.

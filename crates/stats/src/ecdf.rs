@@ -1,4 +1,4 @@
-use crate::quantile_of_sorted;
+use crate::quantile::smaller_head;
 
 /// Empirical cumulative distribution function of a sample.
 ///
@@ -43,11 +43,6 @@ impl Ecdf {
         count as f64 / self.sorted.len() as f64
     }
 
-    /// Inverse ECDF (quantile function) by linear interpolation.
-    pub fn inverse(&self, q: f64) -> Option<f64> {
-        quantile_of_sorted(&self.sorted, q)
-    }
-
     /// Kolmogorov–Smirnov statistic `sup |F(x) − G(x)|` against another ECDF.
     pub fn ks_statistic(&self, other: &Ecdf) -> f64 {
         ks_statistic_sorted(&self.sorted, &other.sorted)
@@ -78,8 +73,7 @@ pub fn ks_statistic_sorted(a: &[f64], b: &[f64]) -> f64 {
     let (n, m) = (a.len() as f64, b.len() as f64);
     let (mut i, mut j) = (0usize, 0usize);
     let mut sup: f64 = 0.0;
-    while i < a.len() || j < b.len() {
-        let x = next_pooled_value(a, b, i, j);
+    while let Some(x) = smaller_head(a, b, i, j) {
         while i < a.len() && same_group(a[i], x) {
             i += 1;
         }
@@ -97,23 +91,6 @@ pub fn ks_statistic_sorted(a: &[f64], b: &[f64]) -> f64 {
 /// the NaN-free precondition.
 fn same_group(v: f64, x: f64) -> bool {
     v == x || v.total_cmp(&x).is_eq()
-}
-
-/// The smallest (by the `total_cmp` sort order) not-yet-consumed pooled
-/// value during a two-sample merge walk.
-fn next_pooled_value(a: &[f64], b: &[f64], i: usize, j: usize) -> f64 {
-    match (a.get(i), b.get(j)) {
-        (Some(&x), Some(&y)) => {
-            if x.total_cmp(&y).is_le() {
-                x
-            } else {
-                y
-            }
-        }
-        (Some(&x), None) => x,
-        (None, Some(&y)) => y,
-        (None, None) => unreachable!("caller guards non-empty remainder"),
-    }
 }
 
 /// Two-sample Cramér–von Mises statistic from two ascending-sorted (by
@@ -134,8 +111,7 @@ pub fn cvm_statistic_sorted(a: &[f64], b: &[f64]) -> f64 {
     let (n, m) = (a.len() as f64, b.len() as f64);
     let (mut i, mut j) = (0usize, 0usize);
     let mut sum = 0.0f64;
-    while i < a.len() || j < b.len() {
-        let x = next_pooled_value(a, b, i, j);
+    while let Some(x) = smaller_head(a, b, i, j) {
         let mut count = 0usize;
         while i < a.len() && same_group(a[i], x) {
             i += 1;
@@ -178,13 +154,6 @@ mod tests {
         let empty = Ecdf::new(&[]);
         assert!(empty.is_empty());
         assert_eq!(empty.eval(0.0), 0.0);
-        assert_eq!(empty.inverse(0.5), None);
-    }
-
-    #[test]
-    fn inverse_interpolates() {
-        let e = Ecdf::new(&[0.0, 10.0]);
-        assert_eq!(e.inverse(0.5), Some(5.0));
     }
 
     #[test]

@@ -14,9 +14,6 @@ pub struct GridSpec {
     axes: Vec<HistogramSpec>,
 }
 
-/// Empty column half for the single-column pair delegations.
-const EMPTY: &[f64] = &[];
-
 impl GridSpec {
     /// Creates a grid from per-axis specs (at least one axis).
     pub fn new(axes: Vec<HistogramSpec>) -> Self {
@@ -24,86 +21,32 @@ impl GridSpec {
         GridSpec { axes }
     }
 
-    /// Builds a grid covering the union of two point clouds, with `bins`
-    /// bins per axis. Points are rows; all rows must have equal length.
-    /// Axes where *neither* cloud has a present value get a degenerate
-    /// (widened) spec. Returns `None` when the clouds are empty.
+    /// Builds a grid spanning the exact min–max of the union of two point
+    /// clouds, with `bins` bins per axis. Points are rows; all rows must
+    /// have equal length. Axes where *neither* cloud has a present value
+    /// get a degenerate (widened) spec. Returns `None` when the clouds are
+    /// empty.
     pub fn covering(a: &[Vec<f64>], b: &[Vec<f64>], bins: usize) -> Option<Self> {
-        Self::covering_quantiles(a, b, bins, 0.0, 1.0)
-    }
-
-    /// Like [`GridSpec::covering`], but spans only the `[qlo, qhi]`
-    /// quantile range of each axis (over the union of the clouds).
-    ///
-    /// Heavy-tailed telemetry (load spikes hundreds of times the typical
-    /// value) would otherwise stretch the axes until the entire data bulk
-    /// collapses into a single cell and the EMD goes blind. Out-of-range
-    /// values are clamped into the edge bins by
-    /// [`HistogramSpec::bin_of`], so no mass is dropped.
-    pub fn covering_quantiles(
-        a: &[Vec<f64>],
-        b: &[Vec<f64>],
-        bins: usize,
-        qlo: f64,
-        qhi: f64,
-    ) -> Option<Self> {
         let columns = sorted_union_columns(a, b)?;
-        Some(Self::from_sorted_columns_quantiles(
-            &columns, bins, qlo, qhi,
-        ))
+        let pairs: Vec<(&[f64], &[f64])> =
+            columns.iter().map(|c| (c.as_slice(), &[][..])).collect();
+        Some(Self::from_sorted_column_pairs_min_max(&pairs, bins))
     }
 
-    /// Quantile cover from per-axis columns that are already sorted
-    /// ascending (by [`f64::total_cmp`]) and NaN-free — the seam that lets
-    /// callers cache one cloud's sorted columns and merge in the other
-    /// cloud instead of re-sorting the union from scratch.
-    /// [`GridSpec::covering_quantiles`] delegates here, so both paths are
-    /// bit-identical by construction. Empty columns get a degenerate
-    /// (widened) axis.
-    pub fn from_sorted_columns_quantiles(
-        columns: &[Vec<f64>],
-        bins: usize,
-        qlo: f64,
-        qhi: f64,
-    ) -> Self {
-        let pairs: Vec<(&[f64], &[f64])> = columns.iter().map(|c| (c.as_slice(), EMPTY)).collect();
-        Self::from_sorted_column_pairs_quantiles(&pairs, bins, qlo, qhi)
+    /// Min–max cover where each axis's union column is given as **two**
+    /// sorted halves (ascending by [`f64::total_cmp`], NaN-free; e.g. a
+    /// cached cloud's column and a derived counterpart column): the
+    /// extremes are read by two-array rank selection
+    /// ([`crate::select_sorted_pair`]), so the union is never
+    /// materialized. Empty columns get a degenerate (widened) axis.
+    pub fn from_sorted_column_pairs_min_max(pairs: &[(&[f64], &[f64])], bins: usize) -> Self {
+        Self::from_axis_ranges(pairs, bins, sorted_pair_range)
     }
 
-    /// Quantile cover where each axis's union column is given as **two**
-    /// sorted halves (e.g. a cached cloud's column and a derived
-    /// counterpart column): quantiles are read by two-array rank selection
-    /// ([`crate::quantile_of_sorted_pair`]), so the union is never
-    /// materialized. This is the single implementation behind every
-    /// quantile cover — the merged-column entry points delegate here with
-    /// an empty second half.
-    pub fn from_sorted_column_pairs_quantiles(
-        pairs: &[(&[f64], &[f64])],
-        bins: usize,
-        qlo: f64,
-        qhi: f64,
-    ) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&qlo) && (0.0..=1.0).contains(&qhi) && qlo < qhi,
-            "quantiles must satisfy 0 <= qlo < qhi <= 1"
-        );
-        assert!(!pairs.is_empty(), "grid needs at least one axis");
-        let mut axes = Vec::with_capacity(pairs.len());
-        for &(a, b) in pairs {
-            let (Some(lo), Some(hi)) = (
-                crate::quantile_of_sorted_pair(a, b, qlo),
-                crate::quantile_of_sorted_pair(a, b, qhi),
-            ) else {
-                axes.push(HistogramSpec::new(0.0, 0.0, bins));
-                continue;
-            };
-            axes.push(HistogramSpec::new(lo, hi, bins));
-        }
-        GridSpec { axes }
-    }
-
-    /// Robust cover: each axis spans `median ± z_range · IQR` of the union,
-    /// with values outside clamping into the edge bins.
+    /// Robust cover over per-axis sorted column pairs (see
+    /// [`GridSpec::from_sorted_column_pairs_min_max`]): each axis spans
+    /// `median ± z_range · IQR` of the union, with values outside clamping
+    /// into the edge bins.
     ///
     /// For heavy-tailed telemetry this is the cover that keeps the data
     /// bulk resolved (several bins across the interquartile range) while
@@ -112,58 +55,40 @@ impl GridSpec {
     /// "mass moved into low-likelihood regions" signal the statistical-
     /// distortion metric must see. Degenerate axes (IQR = 0) fall back to
     /// the min–max cover.
-    pub fn covering_robust(
-        a: &[Vec<f64>],
-        b: &[Vec<f64>],
-        bins: usize,
-        z_range: f64,
-    ) -> Option<Self> {
-        let columns = sorted_union_columns(a, b)?;
-        Some(Self::from_sorted_columns_robust(&columns, bins, z_range))
-    }
-
-    /// Robust cover from per-axis columns that are already sorted ascending
-    /// (by [`f64::total_cmp`]) and NaN-free. [`GridSpec::covering_robust`]
-    /// delegates here; see [`GridSpec::from_sorted_columns_quantiles`] for
-    /// the caching rationale.
-    pub fn from_sorted_columns_robust(columns: &[Vec<f64>], bins: usize, z_range: f64) -> Self {
-        let pairs: Vec<(&[f64], &[f64])> = columns.iter().map(|c| (c.as_slice(), EMPTY)).collect();
-        Self::from_sorted_column_pairs_robust(&pairs, bins, z_range)
-    }
-
-    /// Robust cover over per-axis sorted column **pairs**; see
-    /// [`GridSpec::from_sorted_column_pairs_quantiles`] for the pair
-    /// representation. Single implementation behind every robust cover.
     pub fn from_sorted_column_pairs_robust(
         pairs: &[(&[f64], &[f64])],
         bins: usize,
         z_range: f64,
     ) -> Self {
         assert!(z_range > 0.0, "z_range must be positive");
-        assert!(!pairs.is_empty(), "grid needs at least one axis");
-        let mut axes = Vec::with_capacity(pairs.len());
-        for &(a, b) in pairs {
-            let (Some(median), Some(q1), Some(q3)) = (
-                crate::quantile_of_sorted_pair(a, b, 0.5),
-                crate::quantile_of_sorted_pair(a, b, 0.25),
-                crate::quantile_of_sorted_pair(a, b, 0.75),
-            ) else {
-                axes.push(HistogramSpec::new(0.0, 0.0, bins));
-                continue;
-            };
+        Self::from_axis_ranges(pairs, bins, |a, b| {
+            let median = crate::quantile_of_sorted_pair(a, b, 0.5)?;
+            let q1 = crate::quantile_of_sorted_pair(a, b, 0.25)?;
+            let q3 = crate::quantile_of_sorted_pair(a, b, 0.75)?;
             let iqr = q3 - q1;
             if iqr > 0.0 {
-                axes.push(HistogramSpec::new(
-                    median - z_range * iqr,
-                    median + z_range * iqr,
-                    bins,
-                ));
+                Some((median - z_range * iqr, median + z_range * iqr))
             } else {
-                let lo = crate::select_sorted_pair(a, b, 0);
-                let hi = crate::select_sorted_pair(a, b, a.len() + b.len() - 1);
-                axes.push(HistogramSpec::new(lo, hi, bins));
+                sorted_pair_range(a, b)
             }
-        }
+        })
+    }
+
+    /// One axis per column pair, spanning `range` of the pair; an empty
+    /// pair (no range) gets a degenerate (widened) axis.
+    fn from_axis_ranges(
+        pairs: &[(&[f64], &[f64])],
+        bins: usize,
+        range: impl Fn(&[f64], &[f64]) -> Option<(f64, f64)>,
+    ) -> Self {
+        assert!(!pairs.is_empty(), "grid needs at least one axis");
+        let axes = pairs
+            .iter()
+            .map(|&(a, b)| {
+                let (lo, hi) = range(a, b).unwrap_or((0.0, 0.0));
+                HistogramSpec::new(lo, hi, bins)
+            })
+            .collect();
         GridSpec { axes }
     }
 
@@ -200,12 +125,22 @@ impl GridSpec {
     }
 }
 
+/// The smallest and largest value of the union of two sorted columns;
+/// `None` when both are empty.
+fn sorted_pair_range(a: &[f64], b: &[f64]) -> Option<(f64, f64)> {
+    let last = (a.len() + b.len()).checked_sub(1)?;
+    Some((
+        crate::select_sorted_pair(a, b, 0)?,
+        crate::select_sorted_pair(a, b, last)?,
+    ))
+}
+
 /// Per-axis sorted (by [`f64::total_cmp`]), NaN-free columns of the union
 /// of two point clouds. `None` when both clouds are empty.
 ///
-/// This is the shared quantization input behind the [`GridSpec::covering`]
-/// family: the sorted union column of each axis is what the quantile and
-/// robust covers consume.
+/// This is the shared quantization input behind every grid cover: the
+/// sorted union column of each axis is what the min–max and robust covers
+/// consume.
 pub fn sorted_union_columns(a: &[Vec<f64>], b: &[Vec<f64>]) -> Option<Vec<Vec<f64>>> {
     let dim = a.first().or_else(|| b.first())?.len();
     let mut columns = Vec::with_capacity(dim);

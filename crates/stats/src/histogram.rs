@@ -52,14 +52,6 @@ impl HistogramSpec {
         Some(HistogramSpec::new(lo - pad, hi + pad, bins))
     }
 
-    /// Spec covering the union of two samples (shared support for EMD).
-    pub fn covering_both(a: &[f64], b: &[f64], bins: usize) -> Option<Self> {
-        let mut all = Vec::with_capacity(a.len() + b.len());
-        all.extend_from_slice(a);
-        all.extend_from_slice(b);
-        Self::covering(&all, bins, 0.0)
-    }
-
     /// Bin width.
     pub fn width(&self) -> f64 {
         (self.hi - self.lo) / self.bins as f64
@@ -115,14 +107,6 @@ impl Histogram {
         if let Some(i) = self.spec.bin_of(x) {
             self.counts[i] += 1.0;
             self.total += 1.0;
-        }
-    }
-
-    /// Adds a weighted observation.
-    pub fn add_weighted(&mut self, x: f64, w: f64) {
-        if let Some(i) = self.spec.bin_of(x) {
-            self.counts[i] += w;
-            self.total += w;
         }
     }
 
@@ -195,13 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn covering_both_spans_union() {
-        let spec = HistogramSpec::covering_both(&[0.0, 1.0], &[5.0], 10).unwrap();
-        assert_eq!(spec.lo, 0.0);
-        assert_eq!(spec.hi, 5.0);
-    }
-
-    #[test]
     fn histogram_counts_and_probabilities() {
         let spec = HistogramSpec::new(0.0, 4.0, 4);
         let h = Histogram::from_values(spec, &[0.5, 1.5, 1.6, 3.9, f64::NAN]);
@@ -216,15 +193,6 @@ mod tests {
     fn empty_histogram_probabilities_are_zero() {
         let h = Histogram::empty(HistogramSpec::new(0.0, 1.0, 3));
         assert_eq!(h.probabilities(), vec![0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn weighted_adds() {
-        let mut h = Histogram::empty(HistogramSpec::new(0.0, 1.0, 2));
-        h.add_weighted(0.25, 3.0);
-        h.add_weighted(0.75, 1.0);
-        assert_eq!(h.counts(), &[3.0, 1.0]);
-        assert_eq!(h.probabilities(), vec![0.75, 0.25]);
     }
 
     #[test]

@@ -25,14 +25,6 @@ pub fn kl_divergence(p: &[f64], q: &[f64], epsilon: f64) -> f64 {
         .sum()
 }
 
-/// Jensen–Shannon divergence — a symmetrized, bounded (by `ln 2`) variant
-/// of KL, useful when neither data set is privileged as "reference".
-pub fn jensen_shannon_divergence(p: &[f64], q: &[f64], epsilon: f64) -> f64 {
-    assert_eq!(p.len(), q.len(), "JS requires matching bin counts");
-    let m: Vec<f64> = p.iter().zip(q).map(|(a, b)| 0.5 * (a + b)).collect();
-    0.5 * kl_divergence(p, &m, epsilon) + 0.5 * kl_divergence(q, &m, epsilon)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,17 +61,6 @@ mod tests {
         let d = kl_divergence(&p, &q, 1e-9);
         assert!(d.is_finite());
         assert!(d > 1.0);
-    }
-
-    #[test]
-    fn js_is_symmetric_and_bounded() {
-        let p = [1.0, 0.0, 0.0];
-        let q = [0.0, 0.0, 1.0];
-        let d1 = jensen_shannon_divergence(&p, &q, EPS);
-        let d2 = jensen_shannon_divergence(&q, &p, EPS);
-        assert!((d1 - d2).abs() < 1e-12);
-        assert!(d1 <= 2.0f64.ln() + 1e-9);
-        assert!(d1 > 0.5);
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub use correlation::{autocorrelation, pearson};
 pub use ecdf::{cvm_statistic_sorted, ks_statistic_sorted, Ecdf};
 pub use grid::{sorted_union_columns, GridHistogram, GridSpec};
 pub use histogram::{Histogram, HistogramSpec};
-pub use kl::{jensen_shannon_divergence, kl_divergence};
+pub use kl::kl_divergence;
 pub use pairwise::SumTree;
 pub use quantile::{
     median, quantile, quantile_of_sorted, quantile_of_sorted_pair, select_sorted_pair,

@@ -107,7 +107,9 @@ impl SumTree {
             }
             frontier = parents;
         }
-        overlay.remove(&1).expect("root reached")
+        // The walk always ends on node 1: the last level wrote it, or the
+        // tree is a single leaf and the edit itself is the root.
+        overlay.remove(&1).unwrap_or_default()
     }
 }
 

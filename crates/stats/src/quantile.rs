@@ -20,9 +20,11 @@ pub fn quantile_of_sorted(sorted: &[f64], q: f64) -> Option<f64> {
 /// Element at ascending rank `k` (0-based, by [`f64::total_cmp`]) of the
 /// multiset union of two ascending-sorted slices, without materializing
 /// the merge. Equal values are interchangeable, so the result is
-/// bit-identical to `merge(a, b)[k]`.
-pub fn select_sorted_pair(a: &[f64], b: &[f64], k: usize) -> f64 {
-    assert!(k < a.len() + b.len(), "rank out of range");
+/// bit-identical to `merge(a, b)[k]`. `None` when `k` is out of range.
+pub fn select_sorted_pair(a: &[f64], b: &[f64], k: usize) -> Option<f64> {
+    if k >= a.len() + b.len() {
+        return None;
+    }
     let (a, b) = if a.len() > b.len() { (b, a) } else { (a, b) };
     // Binary search the number `i` of elements taken from `a`: the
     // smallest split where b's untaken prefix no longer precedes a[i].
@@ -37,21 +39,16 @@ pub fn select_sorted_pair(a: &[f64], b: &[f64], k: usize) -> f64 {
             hi = i;
         }
     }
-    let i = lo;
-    let j = k - i;
-    let next_a = (i < a.len()).then(|| a[i]);
-    let next_b = (j < b.len()).then(|| b[j]);
-    match (next_a, next_b) {
-        (Some(x), Some(y)) => {
-            if x.total_cmp(&y).is_le() {
-                x
-            } else {
-                y
-            }
-        }
-        (Some(x), None) => x,
-        (None, Some(y)) => y,
-        (None, None) => unreachable!("k < a.len() + b.len()"),
+    smaller_head(a, b, lo, k - lo)
+}
+
+/// The smaller (by [`f64::total_cmp`]) of `a[i]` and `b[j]`, whichever
+/// exist: the next value of a two-way merge walk. `None` once both slices
+/// are consumed.
+pub(crate) fn smaller_head(a: &[f64], b: &[f64], i: usize, j: usize) -> Option<f64> {
+    match (a.get(i), b.get(j)) {
+        (Some(&x), Some(&y)) => Some(if x.total_cmp(&y).is_le() { x } else { y }),
+        (x, y) => x.or(y).copied(),
     }
 }
 
@@ -67,12 +64,12 @@ pub fn quantile_of_sorted_pair(a: &[f64], b: &[f64], q: f64) -> Option<f64> {
     let h = q * (len as f64 - 1.0);
     let lo = h.floor() as usize;
     let hi = h.ceil() as usize;
+    let xlo = select_sorted_pair(a, b, lo)?;
     if lo == hi {
-        return Some(select_sorted_pair(a, b, lo));
+        return Some(xlo);
     }
     let frac = h - lo as f64;
-    let xlo = select_sorted_pair(a, b, lo);
-    let xhi = select_sorted_pair(a, b, hi);
+    let xhi = select_sorted_pair(a, b, hi)?;
     Some(xlo + frac * (xhi - xlo))
 }
 
@@ -129,11 +126,12 @@ mod tests {
             merged.sort_by(f64::total_cmp);
             for (k, expected) in merged.iter().enumerate() {
                 assert_eq!(
-                    select_sorted_pair(&a, &b, k).to_bits(),
-                    expected.to_bits(),
+                    select_sorted_pair(&a, &b, k).map(f64::to_bits),
+                    Some(expected.to_bits()),
                     "k={k} a={a:?} b={b:?}"
                 );
             }
+            assert_eq!(select_sorted_pair(&a, &b, merged.len()), None);
             for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0] {
                 assert_eq!(
                     quantile_of_sorted_pair(&a, &b, q).map(f64::to_bits),
@@ -143,6 +141,14 @@ mod tests {
             }
         }
         assert_eq!(quantile_of_sorted_pair(&[], &[], 0.5), None);
+    }
+
+    #[test]
+    fn out_of_range_rank_selects_nothing() {
+        assert_eq!(select_sorted_pair(&[1.0, 2.0], &[3.0], 3), None);
+        assert_eq!(select_sorted_pair(&[1.0, 2.0], &[3.0], usize::MAX), None);
+        assert_eq!(select_sorted_pair(&[], &[], 0), None);
+        assert_eq!(select_sorted_pair(&[1.0, 2.0], &[3.0], 2), Some(3.0));
     }
 
     #[test]

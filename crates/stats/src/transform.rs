@@ -73,16 +73,6 @@ impl AttributeTransform {
         }
     }
 
-    /// Applies the inverse transform to a slice in place.
-    pub fn inverse_slice(&self, xs: &mut [f64]) {
-        if matches!(self, AttributeTransform::Identity) {
-            return;
-        }
-        for x in xs {
-            *x = self.inverse(*x);
-        }
-    }
-
     /// Whether this is the identity transform.
     pub fn is_identity(&self) -> bool {
         matches!(self, AttributeTransform::Identity)
@@ -136,7 +126,9 @@ mod tests {
         assert!((xs[0] - 0.0).abs() < 1e-12);
         assert!((xs[1] - 10.0f64.ln()).abs() < 1e-12);
         assert!(xs[2].is_nan());
-        t.inverse_slice(&mut xs);
+        for x in &mut xs {
+            *x = t.inverse(*x);
+        }
         assert!((xs[0] - 1.0).abs() < 1e-12);
         assert!((xs[1] - 10.0).abs() < 1e-11);
         assert!(xs[2].is_nan());
