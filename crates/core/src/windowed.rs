@@ -45,8 +45,8 @@ use parking_lot::Mutex;
 use sd_cleaning::{CleaningContext, CleaningOutcome, CompositeStrategy};
 use sd_data::{Dataset, NodeId, NodeState, TimeSeries, Topology};
 use sd_glitch::{
-    ConstraintSet, GlitchDetector, GlitchReport, GlitchWeights, OutlierDetector,
-    WindowedOutlierDetector,
+    ColumnScreen, ConstraintSet, GlitchDetector, GlitchReport, GlitchWeights, OutlierDetector,
+    PooledHistory, WindowedOutlierDetector,
 };
 use sd_stats::AttributeTransform;
 
@@ -603,33 +603,40 @@ pub fn calibrate_window(
     let mut reference = slice.clone();
     let mut history_flagged = vec![0usize; slice.num_series()];
     let mut structural_flagged = vec![0usize; slice.num_series()];
+    // One column screen per (series, attribute), on buffers reused across
+    // the window.
+    let mut buffers = ColumnScreen::default();
+    let mut unweighted: Vec<&[f64]> = Vec::new();
+    let mut pooled: Vec<(&[f64], f64)> = Vec::new();
     for (i, window_series) in slice.series().iter().enumerate() {
         let flags = structural.detect_series(window_series);
         let segment = &segments[i];
-        let pooled: Vec<(&TimeSeries, f64)> = neighbors[i]
-            .iter()
-            .map(|&(j, wt)| (&segments[j], wt))
-            .collect();
-        let unweighted: Vec<&TimeSeries> = if weighted {
-            Vec::new()
-        } else {
-            pooled.iter().map(|&(s, _)| s).collect()
-        };
+        // Segment-local times of the window's cells (clipped like the slice).
+        let first = offset.min(segment.len());
+        let cells = first..first + window_series.len();
         for a in 0..slice.num_attributes() {
-            for t in 0..window_series.len() {
+            let own = segment.attribute(a);
+            let history = if weighted {
+                pooled.clear();
+                pooled.extend(
+                    neighbors[i]
+                        .iter()
+                        .map(|&(j, wt)| (segments[j].attribute(a), wt)),
+                );
+                PooledHistory::Weighted(&pooled)
+            } else {
+                unweighted.clear();
+                unweighted.extend(neighbors[i].iter().map(|&(j, _)| segments[j].attribute(a)));
+                PooledHistory::Unweighted(&unweighted)
+            };
+            let verdicts = screen.screen_column(own, history, cells.clone(), &mut buffers);
+            for (t, &hit) in verdicts.iter().enumerate() {
                 if flags.any(a, t) {
                     structural_flagged[i] += 1;
                     reference.series_mut()[i].set_missing(a, t);
-                } else {
-                    let hit = if weighted {
-                        screen.is_outlier_weighted(segment, &pooled, a, offset + t)
-                    } else {
-                        screen.is_outlier(segment, &unweighted, a, offset + t)
-                    };
-                    if hit {
-                        history_flagged[i] += 1;
-                        reference.series_mut()[i].set_missing(a, t);
-                    }
+                } else if hit {
+                    history_flagged[i] += 1;
+                    reference.series_mut()[i].set_missing(a, t);
                 }
             }
         }

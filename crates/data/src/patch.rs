@@ -161,18 +161,13 @@ impl<'a> CleanedView<'a> {
     /// Materializes the full cleaned dataset (schema plus every series,
     /// cloned) — for consumers that need an owned [`Dataset`].
     pub fn to_dataset(&self) -> Dataset {
-        let series = (0..self.num_series())
-            .map(|i| self.series_at(i).clone())
-            .collect();
-        Dataset::new(
-            self.base
-                .attributes()
-                .iter()
-                .map(|a| a.name.clone())
-                .collect::<Vec<_>>(),
-            series,
-        )
-        .expect("view preserves the base schema")
+        let mut data = self.base.clone();
+        for (series, patched) in data.series_mut().iter_mut().zip(&self.patched) {
+            if let Some(patched) = patched {
+                series.clone_from(patched);
+            }
+        }
+        data
     }
 }
 

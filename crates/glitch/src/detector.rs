@@ -1,6 +1,7 @@
 use crate::{ConstraintSet, GlitchMatrix, GlitchType};
-use sd_data::{Dataset, TimeSeries, Window};
-use sd_stats::{AttributeTransform, Summary};
+use sd_data::{Dataset, TimeSeries};
+use sd_stats::AttributeTransform;
+use std::ops::Range;
 
 /// 3-σ outlier detector calibrated on the ideal data set `D_I` (§4.1).
 ///
@@ -43,7 +44,7 @@ impl OutlierDetector {
     /// that repeats `Summary::from_slice`'s `n`/`mean`/`m2` updates term
     /// for term. That summary's skewness and kurtosis updates read `mean`
     /// and `m2` but never write them, so the limits and moments here are
-    /// bit-identical to those of a [`Summary`] of the pooled, transformed
+    /// bit-identical to those of a [`Summary`](sd_stats::Summary) of the pooled, transformed
     /// values.
     ///
     /// # Panics
@@ -178,9 +179,22 @@ fn standard_normal_cdf(z: f64) -> f64 {
 /// (pooled with neighbour history when provided) exceeds `k` standard
 /// deviations.
 ///
-/// This is the paper's streaming formulation; the batch experiments use
-/// [`OutlierDetector`] calibrated on `D_I`, and this type is provided as
-/// the §6.1-flavoured extension for online use.
+/// This is the screen on every windowed path: the batch
+/// `WindowedExperiment` and the `sd-serve` evaluators both calibrate each
+/// window through it, one [`WindowedOutlierDetector::screen_column`] call
+/// per (series, attribute). The batch experiments instead use
+/// [`OutlierDetector`] calibrated on `D_I`.
+///
+/// The column screen gives every cell its own accumulator and walks the
+/// history lag-major (lag outer, cell inner), so the cells' independent
+/// division chains overlap and nothing is allocated per cell. Each cell
+/// still sees its history in the per-cell order — own `[t − w, t)`, then
+/// each neighbour's `[u − w, u)` with `u = t.min(neighbour length)` — and
+/// the accumulators repeat the per-cell expressions term for term:
+/// `Summary::from_slice`'s `n`/`mean`/`m2` updates in the unweighted mode,
+/// the in-order weight, square-weight and weighted-value sums (folded from
+/// `-0.0`, like `Iterator::sum`) in the weighted one. The verdicts are
+/// therefore bit-identical to screening each cell on its own.
 #[derive(Debug, Clone, Copy)]
 pub struct WindowedOutlierDetector {
     /// History window length `w`.
@@ -189,6 +203,80 @@ pub struct WindowedOutlierDetector {
     pub k: f64,
     /// Minimum history points required before flagging anything.
     pub min_history: usize,
+}
+
+/// Neighbour history pooled into a [`WindowedOutlierDetector::screen_column`]
+/// call: one column per neighbour, all of the screened attribute.
+#[derive(Debug, Clone, Copy)]
+pub enum PooledHistory<'a> {
+    /// Neighbour values count exactly like own values.
+    Unweighted(&'a [&'a [f64]]),
+    /// Own values weigh 1, each neighbour's its weight; neighbours with a
+    /// non-positive weight are skipped.
+    Weighted(&'a [(&'a [f64], f64)]),
+}
+
+/// Caller-owned buffers of [`WindowedOutlierDetector::screen_column`]: one
+/// accumulator per screened cell, and the verdicts. Reusing one across
+/// calls keeps the screen free of allocation once it has seen its longest
+/// cell range.
+#[derive(Debug, Clone, Default)]
+pub struct ColumnScreen {
+    moments: Vec<Welford>,
+    sums: Vec<WeightedSums>,
+    verdicts: Vec<bool>,
+}
+
+/// One cell's weighted-history sums: `V₁ = Σw`, `V₂ = Σw²`, `Σvw`, and
+/// (second pass) `Σw(v − μ)²` about the weighted mean `μ`.
+#[derive(Debug, Clone, Copy)]
+struct WeightedSums {
+    v1: f64,
+    v2: f64,
+    sv: f64,
+    mean: f64,
+    ss: f64,
+}
+
+impl Default for WeightedSums {
+    fn default() -> Self {
+        // `Iterator::sum::<f64>` folds from -0.0; starting there keeps even
+        // the sign of an all-zero sum identical to the per-cell screen.
+        WeightedSums {
+            v1: -0.0,
+            v2: -0.0,
+            sv: -0.0,
+            mean: f64::NAN,
+            ss: -0.0,
+        }
+    }
+}
+
+/// Feeds each cell of `cells` its present history values in `column`,
+/// lag-major: for lag `w, w−1, …, 1`, every cell `t` reads
+/// `column[u − lag]` with `u = t.min(column.len())` (when `u ≥ lag`), so
+/// each cell sees `[u − w, u)` in time order. `visit` gets the cell's index
+/// within `cells` and the value; missing (NaN) values are skipped.
+#[inline]
+fn for_each_history(
+    window: usize,
+    column: &[f64],
+    cells: &Range<usize>,
+    mut visit: impl FnMut(usize, f64),
+) {
+    let len = column.len();
+    // No cell reaches back further than the column is long.
+    for lag in (1..=window.min(len)).rev() {
+        for (c, t) in cells.clone().enumerate() {
+            let upto = t.min(len);
+            if upto >= lag {
+                let v = column[upto - lag];
+                if !v.is_nan() {
+                    visit(c, v);
+                }
+            }
+        }
+    }
 }
 
 impl WindowedOutlierDetector {
@@ -201,8 +289,98 @@ impl WindowedOutlierDetector {
         }
     }
 
+    /// Screens cells `cells` of one attribute column `own` against their
+    /// `w`-step history in `own` pooled with `neighbors`, returning one
+    /// verdict per cell (in `buffers`, which the caller owns and may reuse).
+    ///
+    /// A verdict is exactly [`WindowedOutlierDetector::is_outlier`] (or,
+    /// for [`PooledHistory::Weighted`],
+    /// [`WindowedOutlierDetector::is_outlier_weighted`]) of that cell:
+    /// missing cells and cells with too little history are never flagged.
+    ///
+    /// # Panics
+    ///
+    /// If `cells` reaches past the end of `own`.
+    pub fn screen_column<'b>(
+        &self,
+        own: &[f64],
+        neighbors: PooledHistory<'_>,
+        cells: Range<usize>,
+        buffers: &'b mut ColumnScreen,
+    ) -> &'b [bool] {
+        let x = &own[cells.clone()];
+        let verdicts = &mut buffers.verdicts;
+        verdicts.clear();
+        match neighbors {
+            PooledHistory::Unweighted(columns) => {
+                let acc = &mut buffers.moments;
+                acc.clear();
+                acc.resize(x.len(), Welford::default());
+                for column in std::iter::once(own).chain(columns.iter().copied()) {
+                    for_each_history(self.window, column, &cells, |c, v| acc[c].push(v));
+                }
+                verdicts.extend(x.iter().zip(acc.iter()).map(|(&x, acc)| {
+                    // `n == 0` only passes a zero `min_history`; its NaN
+                    // mean never flags, as in `Summary`.
+                    if x.is_nan() || acc.n < self.min_history || acc.n == 0 {
+                        return false;
+                    }
+                    let spread = self.k * acc.variance().sqrt();
+                    x < acc.mean - spread || x > acc.mean + spread
+                }));
+            }
+            PooledHistory::Weighted(columns) => {
+                let sums = &mut buffers.sums;
+                sums.clear();
+                sums.resize(x.len(), WeightedSums::default());
+                // Non-positive weights are skipped; a NaN weight is not
+                // (`w <= 0.0` is false), exactly as in the per-cell screen.
+                let weighted = || {
+                    std::iter::once((own, 1.0)).chain(
+                        columns
+                            .iter()
+                            .copied()
+                            .filter(|&(_, w)| w > 0.0 || w.is_nan()),
+                    )
+                };
+                for (column, w) in weighted() {
+                    for_each_history(self.window, column, &cells, |c, v| {
+                        let s = &mut sums[c];
+                        s.v1 += w;
+                        s.v2 += w * w;
+                        s.sv += v * w;
+                    });
+                }
+                for s in sums.iter_mut() {
+                    s.mean = s.sv / s.v1;
+                }
+                for (column, w) in weighted() {
+                    for_each_history(self.window, column, &cells, |c, v| {
+                        let s = &mut sums[c];
+                        s.ss += w * (v - s.mean) * (v - s.mean);
+                    });
+                }
+                verdicts.extend(x.iter().zip(sums.iter()).map(|(&x, s)| {
+                    if x.is_nan() || s.v2 <= 0.0 || (s.v1 * s.v1) / s.v2 < self.min_history as f64 {
+                        return false;
+                    }
+                    let denom = s.v1 - s.v2 / s.v1;
+                    if denom <= 0.0 {
+                        return false;
+                    }
+                    let spread = self.k * (s.ss / denom).sqrt();
+                    x < s.mean - spread || x > s.mean + spread
+                }));
+            }
+        }
+        verdicts
+    }
+
     /// Whether attribute `attr` of `series` at time `t` is an outlier with
-    /// respect to its own window history plus optional neighbour series.
+    /// respect to its own window history plus optional neighbour series:
+    /// `mean ± k·σ` of the pooled present history values, flagged only
+    /// with at least `min_history` of them. A one-cell
+    /// [`WindowedOutlierDetector::screen_column`].
     pub fn is_outlier(
         &self,
         series: &TimeSeries,
@@ -210,23 +388,13 @@ impl WindowedOutlierDetector {
         attr: usize,
         t: usize,
     ) -> bool {
-        let x = series.get(attr, t);
-        if x.is_nan() {
-            return false;
-        }
-        let mut values: Vec<f64> = Window::history(series, t, self.window)
-            .present(attr)
-            .collect();
-        for nb in neighbors {
-            let upto = t.min(nb.len());
-            values.extend(Window::history(nb, upto, self.window).present(attr));
-        }
-        if values.len() < self.min_history {
-            return false;
-        }
-        let s = Summary::from_slice(&values);
-        let (lo, hi) = s.sigma_limits(self.k);
-        x < lo || x > hi
+        let columns: Vec<&[f64]> = neighbors.iter().map(|nb| nb.attribute(attr)).collect();
+        self.screen_column(
+            series.attribute(attr),
+            PooledHistory::Unweighted(&columns),
+            t..t + 1,
+            &mut ColumnScreen::default(),
+        )[0]
     }
 
     /// Weight-pooled variant of [`WindowedOutlierDetector::is_outlier`]:
@@ -238,7 +406,8 @@ impl WindowedOutlierDetector {
     /// variance when every weight is 1), and Kish's effective sample size
     /// `V₁²/V₂` in place of the raw count for the `min_history` guard — so
     /// a value backed mostly by faintly-weighted remote history is still
-    /// treated as under-evidenced.
+    /// treated as under-evidenced. A one-cell
+    /// [`WindowedOutlierDetector::screen_column`].
     pub fn is_outlier_weighted(
         &self,
         series: &TimeSeries,
@@ -246,42 +415,16 @@ impl WindowedOutlierDetector {
         attr: usize,
         t: usize,
     ) -> bool {
-        let x = series.get(attr, t);
-        if x.is_nan() {
-            return false;
-        }
-        let mut values: Vec<(f64, f64)> = Window::history(series, t, self.window)
-            .present(attr)
-            .map(|v| (v, 1.0))
-            .collect();
-        for &(nb, w) in neighbors {
-            if w <= 0.0 {
-                continue;
-            }
-            let upto = t.min(nb.len());
-            values.extend(
-                Window::history(nb, upto, self.window)
-                    .present(attr)
-                    .map(|v| (v, w)),
-            );
-        }
-        let v1: f64 = values.iter().map(|&(_, w)| w).sum();
-        let v2: f64 = values.iter().map(|&(_, w)| w * w).sum();
-        if v2 <= 0.0 || (v1 * v1) / v2 < self.min_history as f64 {
-            return false;
-        }
-        let mean = values.iter().map(|&(v, w)| v * w).sum::<f64>() / v1;
-        let denom = v1 - v2 / v1;
-        if denom <= 0.0 {
-            return false;
-        }
-        let var = values
+        let columns: Vec<(&[f64], f64)> = neighbors
             .iter()
-            .map(|&(v, w)| w * (v - mean) * (v - mean))
-            .sum::<f64>()
-            / denom;
-        let spread = self.k * var.sqrt();
-        x < mean - spread || x > mean + spread
+            .map(|&(nb, w)| (nb.attribute(attr), w))
+            .collect();
+        self.screen_column(
+            series.attribute(attr),
+            PooledHistory::Weighted(&columns),
+            t..t + 1,
+            &mut ColumnScreen::default(),
+        )[0]
     }
 }
 
@@ -384,7 +527,243 @@ impl GlitchDetector {
 mod tests {
     use super::*;
     use crate::Constraint;
-    use sd_data::NodeId;
+    use proptest::prelude::*;
+    use sd_data::{NodeId, Window};
+    use sd_stats::Summary;
+
+    /// Cell `t`'s pooled present history as the per-cell screen collected
+    /// it: own `[t − w, t)` at weight 1, then each neighbour with a weight
+    /// that is not `<= 0` up to `t.min(neighbour length)`.
+    fn pooled_history(
+        det: &WindowedOutlierDetector,
+        series: &TimeSeries,
+        neighbors: &[(&TimeSeries, f64)],
+        attr: usize,
+        t: usize,
+    ) -> Vec<(f64, f64)> {
+        let mut values: Vec<(f64, f64)> = Window::history(series, t, det.window)
+            .present(attr)
+            .map(|v| (v, 1.0))
+            .collect();
+        for &(nb, w) in neighbors {
+            if w <= 0.0 {
+                continue;
+            }
+            let upto = t.min(nb.len());
+            values.extend(
+                Window::history(nb, upto, det.window)
+                    .present(attr)
+                    .map(|v| (v, w)),
+            );
+        }
+        values
+    }
+
+    /// The per-cell screen the column kernel replaces: collect the pooled
+    /// present history, then read `mean ± k·σ` off a full [`Summary`].
+    /// The oracle for [`WindowedOutlierDetector::screen_column`].
+    fn oracle_is_outlier(
+        det: &WindowedOutlierDetector,
+        series: &TimeSeries,
+        neighbors: &[&TimeSeries],
+        attr: usize,
+        t: usize,
+    ) -> bool {
+        let x = series.get(attr, t);
+        if x.is_nan() {
+            return false;
+        }
+        let unit: Vec<(&TimeSeries, f64)> = neighbors.iter().map(|&nb| (nb, 1.0)).collect();
+        let values: Vec<f64> = pooled_history(det, series, &unit, attr, t)
+            .into_iter()
+            .map(|(v, _)| v)
+            .collect();
+        if values.len() < det.min_history {
+            return false;
+        }
+        let s = Summary::from_slice(&values);
+        let (lo, hi) = s.sigma_limits(det.k);
+        x < lo || x > hi
+    }
+
+    /// The weighted per-cell screen (weighted mean, reliability-weights
+    /// variance, Kish effective sample size), summed with `Iterator::sum`.
+    fn oracle_is_outlier_weighted(
+        det: &WindowedOutlierDetector,
+        series: &TimeSeries,
+        neighbors: &[(&TimeSeries, f64)],
+        attr: usize,
+        t: usize,
+    ) -> bool {
+        let x = series.get(attr, t);
+        if x.is_nan() {
+            return false;
+        }
+        let values = pooled_history(det, series, neighbors, attr, t);
+        let v1: f64 = values.iter().map(|&(_, w)| w).sum();
+        let v2: f64 = values.iter().map(|&(_, w)| w * w).sum();
+        if v2 <= 0.0 || (v1 * v1) / v2 < det.min_history as f64 {
+            return false;
+        }
+        let mean = values.iter().map(|&(v, w)| v * w).sum::<f64>() / v1;
+        let denom = v1 - v2 / v1;
+        if denom <= 0.0 {
+            return false;
+        }
+        let var = values
+            .iter()
+            .map(|&(v, w)| w * (v - mean) * (v - mean))
+            .sum::<f64>()
+            / denom;
+        let spread = det.k * var.sqrt();
+        x < mean - spread || x > mean + spread
+    }
+
+    /// A KPI cell: mostly ordinary, sometimes missing, infinite, ±1e300 or
+    /// a shared constant.
+    fn cell() -> impl Strategy<Value = f64> {
+        (0u32..24, -50.0f64..50.0).prop_map(|(kind, v)| match kind {
+            0..=2 => f64::NAN,
+            3 => f64::INFINITY,
+            4 => f64::NEG_INFINITY,
+            5 => 1e300,
+            6 => -1e300,
+            7..=9 => 7.0,
+            _ => v,
+        })
+    }
+
+    /// A column of `len` cells in `lens`, with one constant run laid over it.
+    fn column(lens: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
+        (
+            prop::collection::vec(cell(), lens),
+            0usize..40,
+            0usize..12,
+            -5.0f64..5.0,
+        )
+            .prop_map(|(mut col, at, run, level)| {
+                let len = col.len();
+                col[at.min(len)..(at + run).min(len)].fill(level);
+                col
+            })
+    }
+
+    /// A neighbour weight: non-positive, tiny, exactly 1, or ordinary.
+    fn weight() -> impl Strategy<Value = f64> {
+        (0u32..6, 0.0f64..2.0).prop_map(|(kind, w)| match kind {
+            0 => -1.0,
+            1 => 0.0,
+            2 => 1e-9,
+            3 => 1.0,
+            _ => w,
+        })
+    }
+
+    fn series(col: &[f64]) -> TimeSeries {
+        TimeSeries::from_columns(NodeId::new(0, 0, 0), vec![col.to_vec()])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The column screen agrees with the per-cell oracle bool for bool,
+        /// over the whole column (so every cell with history cut off at the
+        /// stream origin) and over a sub-range, unweighted and weighted,
+        /// with neighbours shorter and longer than the own segment.
+        #[test]
+        fn column_screen_matches_per_cell_oracle(
+            own in column(1..40),
+            nbs in prop::collection::vec((column(0..40), weight()), 0..4),
+            (window, min_history, k) in (0usize..14, (0usize..3).prop_map(|i| [0, 1, 5][i]), 0.5f64..4.0),
+            (from, to) in (0usize..40, 0usize..40),
+        ) {
+            let det = WindowedOutlierDetector { window, k, min_history };
+            let own_series = series(&own);
+            let nb_series: Vec<TimeSeries> = nbs.iter().map(|(c, _)| series(c)).collect();
+            let plain: Vec<&TimeSeries> = nb_series.iter().collect();
+            let unit: Vec<(&TimeSeries, f64)> = nb_series.iter().map(|s| (s, 1.0)).collect();
+            let weighted: Vec<(&TimeSeries, f64)> =
+                nb_series.iter().zip(&nbs).map(|(s, &(_, w))| (s, w)).collect();
+            let plain_cols: Vec<&[f64]> = nbs.iter().map(|(c, _)| c.as_slice()).collect();
+            let weighted_cols: Vec<(&[f64], f64)> =
+                nbs.iter().map(|(c, w)| (c.as_slice(), *w)).collect();
+            let len = own.len();
+            let lo = from.min(len);
+            let hi = to.clamp(lo, len);
+            let mut buffers = ColumnScreen::default();
+            for cells in [0..len, lo..hi] {
+                let got = det
+                    .screen_column(&own, PooledHistory::Unweighted(&plain_cols), cells.clone(), &mut buffers)
+                    .to_vec();
+                prop_assert_eq!(got.len(), cells.len());
+                for (c, t) in cells.clone().enumerate() {
+                    prop_assert_eq!(got[c], oracle_is_outlier(&det, &own_series, &plain, 0, t), "t={}", t);
+                    // The moments behind the verdict match bit for bit too.
+                    let values: Vec<f64> = pooled_history(&det, &own_series, &unit, 0, t)
+                        .into_iter()
+                        .map(|(v, _)| v)
+                        .collect();
+                    let s = Summary::from_slice(&values);
+                    let m = buffers.moments[c];
+                    prop_assert_eq!(m.n, s.n);
+                    if s.n > 0 {
+                        prop_assert_eq!(m.mean.to_bits(), s.mean.to_bits(), "mean t={}", t);
+                        prop_assert_eq!(m.variance().to_bits(), s.variance.to_bits(), "variance t={}", t);
+                    }
+                }
+                let got = det
+                    .screen_column(&own, PooledHistory::Weighted(&weighted_cols), cells.clone(), &mut buffers)
+                    .to_vec();
+                for (c, t) in cells.clone().enumerate() {
+                    prop_assert_eq!(
+                        got[c],
+                        oracle_is_outlier_weighted(&det, &own_series, &weighted, 0, t),
+                        "weighted t={}",
+                        t
+                    );
+                    let values = pooled_history(&det, &own_series, &weighted, 0, t);
+                    let sums = buffers.sums[c];
+                    let v1: f64 = values.iter().map(|&(_, w)| w).sum();
+                    let v2: f64 = values.iter().map(|&(_, w)| w * w).sum();
+                    let sv: f64 = values.iter().map(|&(v, w)| v * w).sum();
+                    prop_assert_eq!(sums.v1.to_bits(), v1.to_bits(), "V1 t={}", t);
+                    prop_assert_eq!(sums.v2.to_bits(), v2.to_bits(), "V2 t={}", t);
+                    prop_assert_eq!(sums.sv.to_bits(), sv.to_bits(), "sum vw t={}", t);
+                }
+            }
+            for t in 0..len {
+                prop_assert_eq!(
+                    det.is_outlier(&own_series, &plain, 0, t),
+                    oracle_is_outlier(&det, &own_series, &plain, 0, t)
+                );
+                prop_assert_eq!(
+                    det.is_outlier_weighted(&own_series, &weighted, 0, t),
+                    oracle_is_outlier_weighted(&det, &own_series, &weighted, 0, t)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn single_history_value_has_zero_spread() {
+        let s = series(&[10.0, 10.0, 10.5]);
+        let w = WindowedOutlierDetector {
+            window: 1,
+            k: 3.0,
+            min_history: 1,
+        };
+        assert!(!w.is_outlier(&s, &[], 0, 1), "equal to its one-value mean");
+        assert!(
+            w.is_outlier(&s, &[], 0, 2),
+            "any deviation leaves a zero band"
+        );
+        let empty = WindowedOutlierDetector {
+            window: 0,
+            k: 3.0,
+            min_history: 0,
+        };
+        assert!(!empty.is_outlier(&s, &[], 0, 2), "no history never flags");
+    }
 
     fn ideal_dataset() -> Dataset {
         // Attribute 0 ~ N(100, ~5): values 90..110.

@@ -28,7 +28,9 @@ mod report;
 mod types;
 
 pub use constraints::{Constraint, ConstraintSet};
-pub use detector::{GlitchDetector, OutlierDetector, WindowedOutlierDetector};
+pub use detector::{
+    ColumnScreen, GlitchDetector, OutlierDetector, PooledHistory, WindowedOutlierDetector,
+};
 pub use index::{GlitchIndex, GlitchWeights};
 pub use matrix::GlitchMatrix;
 pub use report::{co_occurrence, counts_per_time, CoOccurrence, GlitchReport};

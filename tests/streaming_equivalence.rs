@@ -267,3 +267,64 @@ fn shard_routing_is_stable_across_launches() {
         }
     }
 }
+
+/// Hostile KPI values: cells set to ±inf and ±1e300 go through the
+/// history screen, calibration and scoring without an error, a panic or a
+/// non-finite distortion, and the stream still replays the batch run bit
+/// for bit — under every pooling policy.
+#[test]
+fn hostile_kpi_values_stay_finite_and_stream_equals_batch() {
+    let (mut data, topology) = small_stream(43);
+    let hostile = [f64::INFINITY, f64::NEG_INFINITY, 1e300, -1e300];
+    let (series, attributes) = (data.num_series(), data.num_attributes());
+    for (k, &value) in hostile.iter().enumerate() {
+        for j in 0..3 {
+            let i = (5 * k + 17 * j + 3) % series;
+            let t = 7 + 11 * j + 3 * k;
+            data.series_mut()[i].set((k + j) % attributes, t, value);
+            // A second hit one step later puts the value in the next
+            // cell's history as well.
+            data.series_mut()[i].set((k + j) % attributes, t + 1, value);
+        }
+    }
+    let strategies = [paper_strategy(1), paper_strategy(5)];
+    for pooling in [
+        NeighborPooling::OwnOnly,
+        NeighborPooling::KHop { hops: 1 },
+        NeighborPooling::Weighted {
+            tower: 1.0,
+            rnc: 0.3,
+        },
+    ] {
+        let label = format!("hostile {pooling:?}");
+        let config = WindowedConfig::paper_default(20, 10, 43).with_topology(topology, pooling);
+        let batch = match WindowedExperiment::new(config.clone()).run(&data, &strategies) {
+            Ok(batch) => batch,
+            Err(e) => panic!("{label}: batch run failed: {e}"),
+        };
+        assert!(batch.num_windows() > 0, "{label}: no windows");
+        for outcome in batch.outcomes() {
+            assert!(
+                outcome.distortion.is_finite(),
+                "{label}: window {} strategy {} distortion {}",
+                outcome.window_index,
+                outcome.strategy_index,
+                outcome.distortion
+            );
+            assert!(outcome.distortions.iter().all(|d| d.value.is_finite()));
+        }
+        let serve = ServeConfig::new(config, attributes_of(&data)).with_shards(2);
+        let service = StreamingService::launch(serve, nodes_of(&data), strategies.to_vec())
+            .unwrap_or_else(|e| panic!("{label}: launch failed: {e}"));
+        for row in stream_rows(&data) {
+            if let Err(e) = service.ingest(row) {
+                panic!("{label}: ingest failed: {e}");
+            }
+        }
+        let stream = match service.finish() {
+            Ok(stream) => stream,
+            Err(e) => panic!("{label}: stream run failed: {e}"),
+        };
+        assert_equivalent(&batch, &stream, &label);
+    }
+}

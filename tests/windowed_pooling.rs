@@ -107,3 +107,62 @@ proptest! {
         }
     }
 }
+
+/// FNV-1a over every window's per-series history-flag counts, in window
+/// then series order.
+fn screen_fingerprint(result: &WindowedResult) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for screen in result.screens() {
+        for &flagged in &screen.history_flagged {
+            h = (h ^ flagged as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Cross-version pin of the §3.3 history screen. The streaming service and
+/// the batch run share one screen, so their equivalence cannot catch a
+/// changed verdict; these per-window totals (and a fingerprint of the
+/// per-series counts) were recorded with the per-cell
+/// collect-then-`Summary` screen and must never move.
+#[test]
+fn history_screen_verdicts_are_pinned() {
+    let (data, topology) = small_stream(19);
+    let cases: [(NeighborPooling, [usize; 5], u64); 3] = [
+        (
+            NeighborPooling::OwnOnly,
+            [135, 101, 117, 113, 95],
+            0x5f76_4b63_1ad0_f67a,
+        ),
+        (
+            NeighborPooling::KHop { hops: 1 },
+            [94, 59, 73, 74, 71],
+            0xd20f_190a_3624_b6f4,
+        ),
+        (
+            NeighborPooling::Weighted {
+                tower: 1.0,
+                rnc: 0.3,
+            },
+            [69, 49, 55, 56, 49],
+            0x8f55_afe7_6abb_7647,
+        ),
+    ];
+    for (pooling, totals, fingerprint) in cases {
+        let config = WindowedConfig::paper_default(20, 10, 19).with_topology(topology, pooling);
+        let run = WindowedExperiment::new(config)
+            .run(&data, &[paper_strategy(1)])
+            .unwrap();
+        let got: Vec<usize> = run
+            .screens()
+            .iter()
+            .map(|s| s.history_flagged.iter().sum())
+            .collect();
+        assert_eq!(got, totals, "{pooling:?}: per-window history flags");
+        assert_eq!(
+            screen_fingerprint(&run),
+            fingerprint,
+            "{pooling:?}: per-series history flags"
+        );
+    }
+}
