@@ -1,7 +1,7 @@
 use crate::kernel::{
     CvmKernel, DistortionKernel, EmdKernel, EnergyKernel, KlKernel, KsKernel, MahalanobisKernel,
 };
-use crate::Result;
+use crate::{FrameworkError, Result};
 use sd_data::Dataset;
 use sd_stats::AttributeTransform;
 
@@ -16,6 +16,12 @@ use sd_stats::AttributeTransform;
 pub enum DistortionMetric {
     /// Earth Mover's Distance between grid-quantized tuple clouds (the
     /// paper's choice, §3.5), each axis divided by its grid range.
+    ///
+    /// Every score is an exact transportation-simplex solve. One solve's
+    /// occupied-cell product (dirty cells × cleaned cells) is capped at
+    /// 150 000, which bounds its memory; a score past the cap fails with
+    /// [`FrameworkError::Distortion`] naming the product, and fewer `bins`
+    /// bring it back under the cap.
     Emd {
         /// Bins per attribute axis.
         bins: usize,
@@ -47,9 +53,9 @@ impl DistortionMetric {
     /// The paper's default: EMD over a 6-per-axis grid with normalized
     /// axis scaling.
     ///
-    /// Six bins per axis keeps every occupied-cell product (≤ 216² pairs)
-    /// inside the exact transportation-simplex budget, so replication
-    /// scores never mix exact and approximate solves.
+    /// Six bins per axis keeps every occupied-cell product under the
+    /// exact-solve cap for up to three attributes (≤ 216² = 46 656 pairs
+    /// against the cap of 150 000), so no replication score fails on it.
     pub fn paper_default() -> Self {
         DistortionMetric::Emd { bins: 6 }
     }
@@ -72,6 +78,29 @@ impl DistortionMetric {
     /// artifacts.
     pub fn name(&self) -> &'static str {
         self.kernel().name()
+    }
+
+    /// Rejects a metric list no experiment can score with: an empty list,
+    /// or a grid metric (EMD, KL, energy) with zero bins per axis. Every
+    /// experiment entry point runs this check before any work starts.
+    pub fn check_list(metrics: &[DistortionMetric]) -> Result<()> {
+        if metrics.is_empty() {
+            return Err(FrameworkError::InvalidConfig(
+                "at least one distortion metric is required".into(),
+            ));
+        }
+        for metric in metrics {
+            if let DistortionMetric::Emd { bins: 0 }
+            | DistortionMetric::KlDivergence { bins: 0 }
+            | DistortionMetric::Energy { bins: 0 } = metric
+            {
+                return Err(FrameworkError::InvalidConfig(format!(
+                    "distortion metric `{}` needs at least one bin per axis",
+                    metric.name()
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// Builds the [`DistortionKernel`] this descriptor denotes.

@@ -337,11 +337,7 @@ impl Experiment {
                 "replications and sample size must be positive".into(),
             ));
         }
-        if self.config.metrics.is_empty() {
-            return Err(crate::FrameworkError::InvalidConfig(
-                "at least one distortion metric is required".into(),
-            ));
-        }
+        DistortionMetric::check_list(&self.config.metrics)?;
         let transforms = self.config.transforms(data.num_attributes());
         let partition = partition_ideal(
             data,
@@ -467,11 +463,23 @@ mod tests {
         assert!(Experiment::new(c)
             .run(&data(), &[paper_strategy(1)])
             .is_err());
-        let mut c = small_config();
-        c.metrics = Vec::new();
-        assert!(Experiment::new(c)
-            .run(&data(), &[paper_strategy(1)])
-            .is_err());
+        // An empty metric list, or a grid metric with zero bins per axis.
+        for metrics in [
+            vec![],
+            vec![DistortionMetric::Emd { bins: 0 }],
+            vec![DistortionMetric::KlDivergence { bins: 0 }],
+            vec![
+                DistortionMetric::Mahalanobis,
+                DistortionMetric::Energy { bins: 0 },
+            ],
+        ] {
+            let mut c = small_config();
+            c.metrics = metrics;
+            assert!(matches!(
+                Experiment::new(c).prepare(&data()),
+                Err(crate::FrameworkError::InvalidConfig(_))
+            ));
+        }
     }
 
     #[test]

@@ -152,7 +152,6 @@ impl DistortionKernel for EmdKernel {
     fn score_rows(&self, rows_d: &[Vec<f64>], rows_c: &[Vec<f64>]) -> Result<f64> {
         GridEmd::new(self.bins)
             .distance(rows_d, rows_c)
-            .map(|report| report.emd)
             .map_err(distortion_err)
     }
 
@@ -167,7 +166,6 @@ impl PreparedKernel for EmdKernel {
     fn score_patch(&self, patched: &PatchedCloud<'_>) -> Result<f64> {
         GridEmd::new(self.bins)
             .distance_patched(patched)
-            .map(|report| report.emd)
             .map_err(distortion_err)
     }
 }
@@ -586,6 +584,28 @@ mod tests {
                 shifted > 1e-3,
                 "{}: shifted distance {shifted}",
                 kernel.name()
+            );
+        }
+    }
+
+    #[test]
+    fn emd_past_the_exact_cap_is_a_distortion_error_on_both_paths() {
+        // A 20×20 lattice lands in 400 distinct cells of a 200-bin grid,
+        // so one solve would need 400 × 400 = 160 000 cells, past the
+        // 150 000 cap.
+        let lattice: Vec<Vec<f64>> = (0..400)
+            .map(|i| vec![(i % 20) as f64, (i / 20) as f64])
+            .collect();
+        let kernel = DistortionMetric::Emd { bins: 200 }.kernel();
+        let cache = SignatureCache::new(lattice.clone());
+        let patched = PatchedCloud::new(&cache, vec![]);
+        for result in [
+            kernel.score_rows(&lattice, &lattice),
+            kernel.prepare(&cache).score_patch(&patched),
+        ] {
+            assert!(
+                matches!(&result, Err(FrameworkError::Distortion(m)) if m.contains("160000")),
+                "{result:?}"
             );
         }
     }

@@ -362,11 +362,7 @@ impl WindowedExperiment {
                 "window and stride must be positive".into(),
             ));
         }
-        if self.config.metrics.is_empty() {
-            return Err(FrameworkError::InvalidConfig(
-                "at least one distortion metric is required".into(),
-            ));
-        }
+        DistortionMetric::check_list(&self.config.metrics)?;
         let metric_names: Vec<&'static str> = self
             .config
             .metrics
@@ -678,11 +674,7 @@ pub fn evaluate_window_artifacts<E: TaskExecutor>(
     executor: &E,
     artifacts: ReplicationArtifacts,
 ) -> Result<Vec<WindowOutcome>> {
-    if config.metrics.is_empty() {
-        return Err(FrameworkError::InvalidConfig(
-            "at least one distortion metric is required".into(),
-        ));
-    }
+    DistortionMetric::check_list(&config.metrics)?;
     let w = artifacts.replication;
     let transforms = config.transforms(artifacts.dirty.num_attributes());
     // `run_staged` builds each group at most once; the slot hands the
@@ -934,6 +926,23 @@ mod tests {
             .run(&d, &[paper_strategy(1)])
             .unwrap_err();
         assert!(err.to_string().contains("metric"));
+    }
+
+    #[test]
+    fn zero_bin_grid_metrics_are_rejected() {
+        let d = data();
+        for metric in [
+            DistortionMetric::Emd { bins: 0 },
+            DistortionMetric::KlDivergence { bins: 0 },
+            DistortionMetric::Energy { bins: 0 },
+        ] {
+            let mut c = config();
+            c.metrics.push(metric);
+            let err = WindowedExperiment::new(c)
+                .run(&d, &[paper_strategy(1)])
+                .unwrap_err();
+            assert!(matches!(err, FrameworkError::InvalidConfig(_)), "{err}");
+        }
     }
 
     #[test]

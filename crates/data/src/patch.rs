@@ -157,18 +157,6 @@ impl<'a> CleanedView<'a> {
     pub fn is_patched(&self, i: usize) -> bool {
         self.patched[i].is_some()
     }
-
-    /// Materializes the full cleaned dataset (schema plus every series,
-    /// cloned) — for consumers that need an owned [`Dataset`].
-    pub fn to_dataset(&self) -> Dataset {
-        let mut data = self.base.clone();
-        for (series, patched) in data.series_mut().iter_mut().zip(&self.patched) {
-            if let Some(patched) = patched {
-                series.clone_from(patched);
-            }
-        }
-        data
-    }
 }
 
 #[cfg(test)]
@@ -220,10 +208,10 @@ mod tests {
         assert!(view.is_patched(1) && !view.is_patched(0));
         assert_eq!(view.series_at(1).get(0, 0), -7.0);
         assert_eq!(view.series_at(0).get(0, 0), 0.0);
-        let full = view.to_dataset();
-        assert_eq!(full.num_series(), 3);
-        assert_eq!(full.series_at(1).get(0, 0), -7.0);
-        assert!(full.same_data(&view.patch().apply_to(&ds)));
+        let full = view.patch().apply_to(&ds);
+        for i in 0..3 {
+            assert!(view.series_at(i).same_data(full.series_at(i)));
+        }
     }
 
     #[test]

@@ -93,7 +93,7 @@ impl BatchTransport {
 }
 
 thread_local! {
-    /// Per-thread arena for the `GridEmd` exact branch: every engine unit
+    /// Per-thread arena for `GridEmd`'s exact solves: every engine unit
     /// on a worker thread reuses one allocation set. Results stay
     /// bit-identical regardless of which thread (or how many prior solves)
     /// served a given distance call.

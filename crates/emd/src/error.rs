@@ -44,6 +44,16 @@ pub enum EmdError {
         /// The entering cell id `i * m + j`.
         entering: usize,
     },
+    /// The occupied-cell product of a grid solve exceeds the exact-solve
+    /// cap, which bounds the memory of one solve's cost and flow matrices.
+    /// Fewer bins per axis shrink the product.
+    TooManyCells {
+        /// The product `|a| · |b|` of the two signatures' occupied cells
+        /// (saturated at `usize::MAX`).
+        cells: usize,
+        /// The cap it exceeds.
+        cap: usize,
+    },
 }
 
 impl fmt::Display for EmdError {
@@ -71,6 +81,11 @@ impl fmt::Display for EmdError {
                 f,
                 "simplex pivot on cell {entering} found no blocking arc \
                  (corrupt basis or non-finite flow)"
+            ),
+            EmdError::TooManyCells { cells, cap } => write!(
+                f,
+                "occupied-cell product {cells} exceeds the exact-solve cap {cap}; \
+                 use fewer bins per axis"
             ),
         }
     }

@@ -1,22 +1,14 @@
 use crate::grid_pair::{Cover, GridPair};
 use crate::signature::PatchedCloud;
-use crate::{sinkhorn, Result, Signature, SinkhornParams};
+use crate::{EmdError, Result, Signature};
 
-/// Occupied-cell-product budget above which [`GridEmd`] falls back from
-/// the exact transportation simplex to Sinkhorn. Sized so instances up to
-/// roughly 380×380 occupied cells stay exact: at those shapes one simplex
-/// solve is still cheaper than a converged Sinkhorn run.
+/// Cap on the occupied-cell product `|a| · |b|` of one exact solve. The
+/// solve holds an `8·|a|·|b|`-byte cost matrix and a flow matrix of the
+/// same shape, so the cap bounds its memory at ≈ 2.4 MB (roughly 380×380
+/// occupied cells). Past it, [`GridEmd`] returns
+/// [`EmdError::TooManyCells`]; lowering the bins per axis shrinks the
+/// product.
 const MAX_EXACT_CELLS: usize = 150_000;
-
-/// Which solver produced a [`GridEmdReport`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolverUsed {
-    /// Exact transportation simplex.
-    Simplex,
-    /// Entropic Sinkhorn approximation (the occupied-cell product exceeded
-    /// the exact budget).
-    Sinkhorn,
-}
 
 /// End-to-end multidimensional EMD between two point clouds.
 ///
@@ -24,31 +16,14 @@ pub enum SolverUsed {
 /// measure: pool the `v`-tuples of the dirty and cleaned data sets,
 /// quantize both onto one shared grid (so both distributions share a
 /// support, as Definition 1 requires), and solve the transportation problem
-/// between the occupied cells. The grid spans `median ± 5·IQR` of the union
-/// on every axis ([`Cover::Robust`]), and ground distances divide each axis
-/// by its grid range, since telemetry KPIs span wildly different
-/// magnitudes.
+/// between the occupied cells exactly. The grid spans `median ± 5·IQR` of
+/// the union on every axis ([`Cover::Robust`]), and ground distances divide
+/// each axis by its grid range, since telemetry KPIs span wildly different
+/// magnitudes. The quantization diagnostics (occupied cells, skipped rows)
+/// live on [`GridPair`].
 #[derive(Debug, Clone)]
 pub struct GridEmd {
     bins_per_axis: usize,
-}
-
-/// The result of a [`GridEmd::distance`] computation, with enough
-/// diagnostics to audit the quantization.
-#[derive(Debug, Clone)]
-pub struct GridEmdReport {
-    /// The Earth Mover's Distance.
-    pub emd: f64,
-    /// Occupied grid cells in the first cloud.
-    pub occupied_a: usize,
-    /// Occupied grid cells in the second cloud.
-    pub occupied_b: usize,
-    /// Points skipped (missing coordinate) in the first cloud.
-    pub skipped_a: usize,
-    /// Points skipped in the second cloud.
-    pub skipped_b: usize,
-    /// Which solver was used.
-    pub solver: SolverUsed,
 }
 
 impl GridEmd {
@@ -58,16 +33,13 @@ impl GridEmd {
         GridEmd { bins_per_axis }
     }
 
-    /// Bins per axis.
-    pub fn bins_per_axis(&self) -> usize {
-        self.bins_per_axis
-    }
-
     /// EMD between two clouds of equal-dimension points (rows). Rows with
-    /// any missing (NaN) coordinate are excluded from the density and
-    /// reported in the diagnostics.
-    pub fn distance(&self, a: &[Vec<f64>], b: &[Vec<f64>]) -> Result<GridEmdReport> {
-        solve(GridPair::rows(a, b, self.bins_per_axis, Cover::Robust)?)
+    /// any missing (NaN) coordinate are excluded from the density. Errors
+    /// with [`EmdError::TooManyCells`] when the occupied-cell product
+    /// exceeds the exact-solve cap of 150 000.
+    pub fn distance(&self, a: &[Vec<f64>], b: &[Vec<f64>]) -> Result<f64> {
+        GridPair::rows(a, b, self.bins_per_axis, Cover::Robust)?
+            .with_signatures(solve_signatures)?
     }
 
     /// EMD between the cached cloud and a [`PatchedCloud`] counterpart
@@ -97,69 +69,37 @@ impl GridEmd {
     ///     cleaned[row] = values;
     /// }
     /// let direct = emd.distance(&dirty, &cleaned).unwrap();
-    /// assert_eq!(patched.emd.to_bits(), direct.emd.to_bits());
-    /// assert!(patched.emd > 0.0);
+    /// assert_eq!(patched.to_bits(), direct.to_bits());
+    /// assert!(patched > 0.0);
     /// ```
-    pub fn distance_patched(&self, patched: &PatchedCloud<'_>) -> Result<GridEmdReport> {
-        solve(GridPair::patched(
-            patched,
-            self.bins_per_axis,
-            Cover::Robust,
-        )?)
+    pub fn distance_patched(&self, patched: &PatchedCloud<'_>) -> Result<f64> {
+        GridPair::patched(patched, self.bins_per_axis, Cover::Robust)?
+            .with_signatures(solve_signatures)?
     }
 }
 
-/// The pipeline's back half: solve the transportation problem between the
-/// pair's two signatures.
-fn solve(pair: GridPair) -> Result<GridEmdReport> {
-    let (dirty, cleaned) = (pair.dirty(), pair.cleaned());
-    let (occupied_a, skipped_a) = (dirty.occupied, dirty.skipped);
-    let (occupied_b, skipped_b) = (cleaned.occupied, cleaned.skipped);
-    let (emd, solver) = pair.with_signatures(|a, b| solve_signatures(a, b, MAX_EXACT_CELLS))??;
-    Ok(GridEmdReport {
-        emd,
-        occupied_a,
-        occupied_b,
-        skipped_a,
-        skipped_b,
-        solver,
-    })
-}
-
-/// EMD between two signatures: exact when `|a| · |b| <= max_exact_cells`,
-/// debiased Sinkhorn otherwise. Exact solves run on this thread's shared
-/// cold arena — pure allocation reuse, bit-identical to a standalone
-/// [`crate::TransportProblem`] solve.
-pub(crate) fn solve_signatures(
-    sig_a: &Signature,
-    sig_b: &Signature,
-    max_exact_cells: usize,
-) -> Result<(f64, SolverUsed)> {
+/// The pipeline's back half: the exact EMD between the pair's two
+/// signatures, on this thread's shared cold arena — pure allocation reuse,
+/// bit-identical to a standalone [`crate::TransportProblem`] solve. The cap
+/// is checked before the cost matrix is allocated.
+fn solve_signatures(sig_a: &Signature, sig_b: &Signature) -> Result<f64> {
+    let cells = sig_a.len().saturating_mul(sig_b.len());
+    if cells > MAX_EXACT_CELLS {
+        return Err(EmdError::TooManyCells {
+            cells,
+            cap: MAX_EXACT_CELLS,
+        });
+    }
     let wa = sig_a.normalized_weights();
     let wb = sig_b.normalized_weights();
     let cost = crate::ground_distance_matrix(sig_a.points(), sig_b.points());
-    if sig_a.len() * sig_b.len() <= max_exact_cells {
-        let emd = crate::batch::with_cold_arena(|arena| arena.solve(&wa, &wb, &cost))?;
-        return Ok((emd, SolverUsed::Simplex));
-    }
-    // Debiased Sinkhorn divergence: the raw entropic cost has a positive
-    // floor even for identical distributions (the plan is deliberately
-    // blurry), which would swamp small distances. Subtracting the
-    // self-transport terms removes that floor:
-    //   S(a,b) − ½ S(a,a) − ½ S(b,b).
-    let params = SinkhornParams::default();
-    let ab = sinkhorn(&wa, &wb, &cost, params)?;
-    let cost_aa = crate::ground_distance_matrix(sig_a.points(), sig_a.points());
-    let cost_bb = crate::ground_distance_matrix(sig_b.points(), sig_b.points());
-    let aa = sinkhorn(&wa, &wa, &cost_aa, params)?;
-    let bb = sinkhorn(&wb, &wb, &cost_bb, params)?;
-    Ok(((ab - 0.5 * aa - 0.5 * bb).max(0.0), SolverUsed::Sinkhorn))
+    crate::batch::with_cold_arena(|arena| arena.solve(&wa, &wb, &cost))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EmdError, SignatureCache};
+    use crate::SignatureCache;
 
     fn cloud(points: &[(f64, f64)]) -> Vec<Vec<f64>> {
         points.iter().map(|&(x, y)| vec![x, y]).collect()
@@ -168,10 +108,50 @@ mod tests {
     #[test]
     fn identical_clouds_have_zero_distance() {
         let a = cloud(&[(0.0, 0.0), (1.0, 1.0), (2.0, 0.5)]);
-        let report = GridEmd::new(4).distance(&a, &a).unwrap();
-        assert!(report.emd.abs() < 1e-12);
-        assert_eq!(report.solver, SolverUsed::Simplex);
-        assert_eq!(report.occupied_a, report.occupied_b);
+        assert_eq!(GridEmd::new(4).distance(&a, &a).unwrap(), 0.0);
+        let pair = GridPair::rows(&a, &a, 4, Cover::Robust).unwrap();
+        assert_eq!(pair.dirty().occupied, pair.cleaned().occupied);
+    }
+
+    #[test]
+    fn single_cell_signatures_give_the_exact_distance() {
+        // All mass on one point each side: the flow is forced, and the
+        // distance is the ground distance whatever the masses.
+        let a = Signature::new(vec![vec![0.0, 0.0]], vec![2.0]).unwrap();
+        let b = Signature::new(vec![vec![3.0, 4.0]], vec![0.5]).unwrap();
+        assert_eq!(solve_signatures(&a, &b).unwrap(), 5.0);
+    }
+
+    /// One point at the origin against `len` unit-mass points on the
+    /// x axis at `0, 1, …, len − 1`.
+    fn fan(len: usize) -> (Signature, Signature) {
+        let hub = Signature::new(vec![vec![0.0, 0.0]], vec![1.0]).unwrap();
+        let spokes = Signature::new(
+            (0..len).map(|i| vec![i as f64, 0.0]).collect(),
+            vec![1.0; len],
+        )
+        .unwrap();
+        (hub, spokes)
+    }
+
+    #[test]
+    fn product_at_the_cap_still_solves_exactly() {
+        let (hub, spokes) = fan(MAX_EXACT_CELLS);
+        let d = solve_signatures(&hub, &spokes).unwrap();
+        // The hub ships 1/len to every spoke: the mean spoke distance.
+        let expected = (MAX_EXACT_CELLS - 1) as f64 / 2.0;
+        assert!((d - expected).abs() < 1e-6 * expected, "{d} vs {expected}");
+    }
+
+    #[test]
+    fn product_past_the_cap_is_a_structured_error() {
+        let (hub, spokes) = fan(MAX_EXACT_CELLS + 1);
+        let expected = EmdError::TooManyCells {
+            cells: MAX_EXACT_CELLS + 1,
+            cap: MAX_EXACT_CELLS,
+        };
+        assert_eq!(solve_signatures(&hub, &spokes), Err(expected.clone()));
+        assert_eq!(solve_signatures(&spokes, &hub), Err(expected));
     }
 
     #[test]
@@ -180,8 +160,8 @@ mod tests {
         let b = cloud(&[(5.0, 5.0), (5.1, 5.1), (5.2, 5.0)]);
         // The robust cover widens the axes, shrinking normalized distances
         // but never erasing them.
-        let report = GridEmd::new(8).distance(&a, &b).unwrap();
-        assert!(report.emd > 0.05, "{}", report.emd);
+        let d = GridEmd::new(8).distance(&a, &b).unwrap();
+        assert!(d > 0.05, "{d}");
     }
 
     #[test]
@@ -193,8 +173,8 @@ mod tests {
         };
         let (base, near, far) = (line(0.0), line(5.0), line(30.0));
         let g = GridEmd::new(16);
-        let d_near = g.distance(&base, &near).unwrap().emd;
-        let d_far = g.distance(&base, &far).unwrap().emd;
+        let d_near = g.distance(&base, &near).unwrap();
+        let d_far = g.distance(&base, &far).unwrap();
         assert!(d_far > d_near, "{d_far} vs {d_near}");
     }
 
@@ -204,7 +184,7 @@ mod tests {
         // in units of the x axis's grid range (median ± 5·IQR).
         let a: Vec<Vec<f64>> = (0..50).map(|i| vec![i as f64, 0.0]).collect();
         let b: Vec<Vec<f64>> = (0..50).map(|i| vec![i as f64 + 10.0, 0.0]).collect();
-        let grid_d = GridEmd::new(64).distance(&a, &b).unwrap().emd;
+        let grid_d = GridEmd::new(64).distance(&a, &b).unwrap();
         let a1: Vec<f64> = a.iter().map(|p| p[0]).collect();
         let b1: Vec<f64> = b.iter().map(|p| p[0]).collect();
         let exact = crate::emd_1d_samples(&a1, &b1).unwrap();
@@ -225,9 +205,10 @@ mod tests {
         let mut a = cloud(&[(0.0, 0.0), (1.0, 1.0)]);
         a.push(vec![f64::NAN, 0.5]);
         let b = cloud(&[(0.0, 0.0), (1.0, 1.0)]);
-        let report = GridEmd::new(4).distance(&a, &b).unwrap();
-        assert_eq!(report.skipped_a, 1);
-        assert_eq!(report.skipped_b, 0);
+        assert!(GridEmd::new(4).distance(&a, &b).is_ok());
+        let pair = GridPair::rows(&a, &b, 4, Cover::Robust).unwrap();
+        assert_eq!(pair.dirty().skipped, 1);
+        assert_eq!(pair.cleaned().skipped, 0);
     }
 
     #[test]
@@ -240,23 +221,6 @@ mod tests {
         ));
         let all_missing = vec![vec![f64::NAN, f64::NAN]];
         assert!(GridEmd::new(4).distance(&a, &all_missing).is_err());
-    }
-
-    #[test]
-    fn sinkhorn_fallback_engages_when_budget_exceeded() {
-        let a: Vec<Vec<f64>> = (0..40)
-            .map(|i| vec![(i % 8) as f64, (i / 8) as f64])
-            .collect();
-        let b: Vec<Vec<f64>> = (0..40)
-            .map(|i| vec![(i % 8) as f64 + 0.4, (i / 8) as f64])
-            .collect();
-        let pair = GridPair::rows(&a, &b, 8, Cover::Robust).unwrap();
-        let (emd, solver) = pair
-            .with_signatures(|x, y| solve_signatures(x, y, 4))
-            .unwrap()
-            .unwrap();
-        assert_eq!(solver, SolverUsed::Sinkhorn);
-        assert!(emd.is_finite());
     }
 
     #[test]
@@ -279,19 +243,25 @@ mod tests {
         let mut with_gap = a.clone();
         with_gap[5][0] = f64::NAN; // base cloud itself has a gap
         for base in [a.clone(), with_gap] {
-            for g in [GridEmd::new(6), GridEmd::new(4), GridEmd::new(5)] {
+            for bins in [6, 4, 5] {
+                let g = GridEmd::new(bins);
                 let cache = SignatureCache::new(base.clone());
                 for edits in &edit_sets {
                     let patched = PatchedCloud::new(&cache, edits.clone());
                     let b = patched.materialize();
                     let direct = g.distance(&base, &b).unwrap();
                     let fast = g.distance_patched(&patched).unwrap();
-                    assert_eq!(direct.emd.to_bits(), fast.emd.to_bits());
-                    assert_eq!(direct.occupied_a, fast.occupied_a);
-                    assert_eq!(direct.occupied_b, fast.occupied_b);
-                    assert_eq!(direct.skipped_a, fast.skipped_a);
-                    assert_eq!(direct.skipped_b, fast.skipped_b);
-                    assert_eq!(direct.solver, fast.solver);
+                    assert_eq!(direct.to_bits(), fast.to_bits());
+                    // The quantization diagnostics agree too.
+                    let rows = GridPair::rows(&base, &b, bins, Cover::Robust).unwrap();
+                    let cached = GridPair::patched(&patched, bins, Cover::Robust).unwrap();
+                    for (x, y) in [
+                        (rows.dirty(), cached.dirty()),
+                        (rows.cleaned(), cached.cleaned()),
+                    ] {
+                        assert_eq!(x.occupied, y.occupied);
+                        assert_eq!(x.skipped, y.skipped);
+                    }
                 }
                 // Re-scoring the identical cloud hits the memo.
                 let before = cache.memoized();
@@ -375,8 +345,8 @@ mod tests {
         let a2: Vec<Vec<f64>> = a1.iter().map(|p| vec![p[0] * 1000.0, p[1]]).collect();
         let b2: Vec<Vec<f64>> = b1.iter().map(|p| vec![p[0] * 1000.0, p[1]]).collect();
         let g = GridEmd::new(8);
-        let d1 = g.distance(&a1, &b1).unwrap().emd;
-        let d2 = g.distance(&a2, &b2).unwrap().emd;
+        let d1 = g.distance(&a1, &b1).unwrap();
+        let d2 = g.distance(&a2, &b2).unwrap();
         assert!((d1 - d2).abs() < 1e-9, "{d1} vs {d2}");
     }
 }

@@ -14,15 +14,15 @@
 //!   signature-vs-signature EMD;
 //! * [`MinCostFlow`] — successive-shortest-paths with potentials; slower
 //!   but structurally independent, used to cross-validate the simplex;
-//! * [`sinkhorn`] — entropy-regularized approximation for large signatures;
 //! * [`GridPair`] — the front half every grid kernel (EMD, KL, energy
 //!   distance) shares: pool two clouds of `v`-tuples and quantize both onto
 //!   one shared grid under a min–max or robust [`Cover`], from rows or from
 //!   a [`SignatureCache`] plus [`PatchedCloud`] row edits, bit-identically;
 //! * [`GridEmd`] — the end-to-end pipeline the framework calls: a robust
-//!   [`GridPair`], then an exact solver on the sparse signatures (the
-//!   approach of the paper's reference \[1\]), Sinkhorn beyond the exact
-//!   budget.
+//!   [`GridPair`], then the exact transportation simplex on the sparse
+//!   signatures (the approach of the paper's reference \[1\]). One solve's
+//!   occupied-cell product is capped at 150 000, which bounds its memory;
+//!   past the cap it returns [`EmdError::TooManyCells`].
 //!
 //! ```
 //! use sd_emd::emd_1d_samples;
@@ -47,19 +47,17 @@ mod flow;
 mod grid_emd;
 mod grid_pair;
 mod signature;
-mod sinkhorn;
 mod transport;
 
 pub use batch::BatchTransport;
 pub use emd1d::{emd_1d_samples, emd_1d_weighted};
 pub use error::EmdError;
 pub use flow::MinCostFlow;
-pub use grid_emd::{GridEmd, GridEmdReport, SolverUsed};
+pub use grid_emd::GridEmd;
 pub use grid_pair::{Cover, GridPair};
 pub use signature::{
     euclidean, ground_distance_matrix, CloudQuant, PatchedCloud, Signature, SignatureCache,
 };
-pub use sinkhorn::{sinkhorn, SinkhornParams};
 pub use transport::TransportProblem;
 
 /// Convenience result alias.

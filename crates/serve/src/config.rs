@@ -1,7 +1,7 @@
 //! Service configuration: the windowed-pipeline geometry plus the
 //! sharding/backpressure knobs that only exist in the streaming layer.
 
-use sd_core::{FrameworkError, Result, WindowedConfig};
+use sd_core::{DistortionMetric, FrameworkError, Result, WindowedConfig};
 use sd_data::NodeId;
 
 /// Configuration of a [`crate::StreamingService`].
@@ -108,11 +108,7 @@ impl ServeConfig {
                 "window and stride must be positive".into(),
             ));
         }
-        if self.windowed.metrics.is_empty() {
-            return Err(FrameworkError::InvalidConfig(
-                "at least one distortion metric is required".into(),
-            ));
-        }
+        DistortionMetric::check_list(&self.windowed.metrics)?;
         if self.shards == 0 {
             return Err(FrameworkError::InvalidConfig(
                 "a streaming service needs at least one shard".into(),

@@ -15,6 +15,12 @@
 //! ingestion), `SD_SCALE` (`small` for the 100-sector smoke stream,
 //! anything else for the 1 000-sector harness stream).
 //!
+//! Stdout carries only results that repeat run to run (the config line,
+//! row and window counts, trajectories, the batch-equivalence verdict),
+//! so two runs' stdouts diff clean. Lines that depend on timing or
+//! thread scheduling — live-window polls, evaluation lags, ring
+//! high-water, max pending windows — go to stderr.
+//!
 //! ```text
 //! SD_SCALE=small cargo run --release --example streaming_service
 //! ```
@@ -66,17 +72,21 @@ fn main() {
     let report = service.finish().expect("stream finishes");
     let stats = report.stats();
     println!(
-        "served {} rows -> {} windows; ring high-water {}/{} rows",
-        stats.rows_ingested, stats.windows_evaluated, stats.ring_high_water, stats.ring_capacity,
+        "served {} rows -> {} windows",
+        stats.rows_ingested, stats.windows_evaluated,
+    );
+    eprintln!(
+        "ring high-water {}/{} rows",
+        stats.ring_high_water, stats.ring_capacity,
     );
     let (mean_wait, mean_eval) = stats.mean_lag_us();
-    println!(
+    eprintln!(
         "evaluation lag: mean queue-wait {mean_wait:.0} us, mean evaluate {mean_eval:.0} us, \
          max {} windows pending",
         stats.max_pending_windows,
     );
     for lag in &stats.window_lags {
-        println!(
+        eprintln!(
             "  window {}: waited {} us, evaluated in {} us",
             lag.window_index, lag.queue_wait_us, lag.evaluate_us,
         );
@@ -122,7 +132,7 @@ fn main() {
 fn print_update(update: &WindowUpdate) {
     let flagged: usize = update.screen.history_flagged.iter().sum::<usize>()
         + update.screen.structural_flagged.iter().sum::<usize>();
-    println!(
+    eprintln!(
         "live window {} [{}, {}): {} cells screened out, {} strategies scored",
         update.window_index,
         update.screen.start,

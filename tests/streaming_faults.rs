@@ -196,8 +196,8 @@ fn panicking_evaluator_surfaces_as_evaluator_failed_without_hanging() {
     }
 }
 
-/// Launch-time validation: impossible geometries and duplicate nodes are
-/// rejected before any thread spawns.
+/// Launch-time validation: impossible geometries, zero-bin grid metrics
+/// and duplicate nodes are rejected before any thread spawns.
 #[test]
 fn launch_rejects_invalid_configurations() {
     let data = generate(&NetsimConfig::small(3)).dataset;
@@ -214,6 +214,14 @@ fn launch_rejects_invalid_configurations() {
     let no_capacity = ServeConfig::new(config.clone(), attrs.clone()).with_channel_capacity(0);
     assert!(matches!(
         StreamingService::launch(no_capacity, nodes.clone(), vec![paper_strategy(1)]),
+        Err(FrameworkError::InvalidConfig(_))
+    ));
+
+    let mut zero_bins = config.clone();
+    zero_bins.metrics.push(DistortionMetric::Energy { bins: 0 });
+    let zero_bins = ServeConfig::new(zero_bins, attrs.clone());
+    assert!(matches!(
+        StreamingService::launch(zero_bins, nodes.clone(), vec![paper_strategy(1)]),
         Err(FrameworkError::InvalidConfig(_))
     ));
 
