@@ -7,7 +7,7 @@
 //! SD_SCALE=harness cargo run --release -p sd-bench --bin figure6
 //! ```
 
-use sd_bench::{mean_sd, shape_check, HarnessConfig};
+use sd_bench::{gate_shape_checks, mean_sd, shape_check, HarnessConfig};
 use sd_cleaning::{paper_strategy, CleaningStrategy};
 use sd_core::{Experiment, ExperimentConfig};
 
@@ -116,23 +116,24 @@ fn main() {
     let b3 = find(&panel_b_means, "winsorize only");
     let b4 = find(&panel_b_means, "replace with mean only");
 
-    shape_check(
+    let mut passed = true;
+    passed &= shape_check(
         "impute-only and mean-replacement treat the same glitches (similar improvement)",
         (a2.0 - a4.0).abs() < 0.5 * a2.0.max(a4.0),
     );
-    shape_check(
+    passed &= shape_check(
         "raw panel: mean replacement distorts less than Gaussian imputation (b: s4 < s2)",
         b4.1 < b2.1,
     );
-    shape_check(
+    passed &= shape_check(
         "composite strategies beat single-method improvement (s1 > s2, s5 > s4)",
         a1.0 > a2.0 && a5.0 > a4.0,
     );
-    shape_check(
+    passed &= shape_check(
         "log transform flags more outliers: winsorize-only improves more in (a) than (b)",
         a3.0 > b3.0,
     );
-    shape_check(
+    passed &= shape_check(
         "winsorize-only improves least among composite-treating strategies",
         a3.0 < a1.0 && a3.0 < a5.0,
     );
@@ -149,4 +150,5 @@ fn main() {
         "figure6.json",
         &serde_json::json!({ "panels": json_panels }),
     );
+    gate_shape_checks(passed);
 }

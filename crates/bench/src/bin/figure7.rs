@@ -6,7 +6,7 @@
 //! SD_SCALE=harness cargo run --release -p sd-bench --bin figure7
 //! ```
 
-use sd_bench::{mean_sd, shape_check, HarnessConfig};
+use sd_bench::{gate_shape_checks, mean_sd, shape_check, HarnessConfig};
 use sd_cleaning::paper_strategy;
 use sd_core::{cost_sweep, CostSweepConfig, ExperimentConfig, TransportMode};
 
@@ -105,19 +105,20 @@ fn main() {
     let f20 = at(0.2);
     let f50 = at(0.5);
     let f100 = at(1.0);
-    shape_check(
+    let mut passed = true;
+    passed &= shape_check(
         "0 % cleaned: no improvement, no distortion",
         f0.1.abs() < 1e-9 && f0.2.abs() < 1e-9,
     );
-    shape_check(
+    passed &= shape_check(
         "improvement grows monotonically with % cleaned",
         f20.1 > f0.1 && f50.1 > f20.1 && f100.1 >= f50.1 * 0.98,
     );
-    shape_check(
+    passed &= shape_check(
         "distortion grows with % cleaned",
         f20.2 > f0.2 && f50.2 > f20.2 * 0.9 && f100.2 >= f50.2 * 0.9,
     );
-    shape_check(
+    passed &= shape_check(
         "diminishing returns beyond 50 % (greedy dirtiest-first ranking)",
         (f100.1 - f50.1) < (f50.1 - f0.1),
     );
@@ -126,4 +127,5 @@ fn main() {
         "figure7.json",
         &serde_json::json!({ "panels": json_panels }),
     );
+    gate_shape_checks(passed);
 }

@@ -8,7 +8,7 @@
 //! SD_SCALE=harness cargo run --release -p sd-bench --bin figure_budget
 //! ```
 
-use sd_bench::{mean_sd, shape_check, HarnessConfig};
+use sd_bench::{gate_shape_checks, mean_sd, shape_check, HarnessConfig};
 use sd_cleaning::paper_strategy;
 use sd_core::{
     budget_optimize, BudgetOptimizerConfig, CostModel, DistortionMetric, ExperimentConfig,
@@ -134,23 +134,24 @@ fn main() {
     let dirtiest = curve(SelectionPolicy::DirtiestFirst);
     let random = curve(SelectionPolicy::Random);
 
-    shape_check(
+    let mut passed = true;
+    passed &= shape_check(
         "zero budget buys nothing: no improvement, no distortion",
         greedy[0].1.abs() < 1e-9 && greedy[0].2.abs() < 1e-9,
     );
-    shape_check(
+    passed &= shape_check(
         "greedy improvement grows monotonically with budget",
         greedy.windows(2).all(|w| w[1].1 >= w[0].1 - 1e-9),
     );
-    shape_check(
+    passed &= shape_check(
         "greedy distortion grows with the spend",
         greedy.windows(2).all(|w| w[1].2 >= w[0].2 - 1e-9),
     );
-    shape_check(
+    passed &= shape_check(
         "greedy never loses to dirtiest-first at any budget",
         greedy.iter().zip(&dirtiest).all(|(g, d)| g.1 >= d.1 - 1e-9),
     );
-    shape_check(
+    passed &= shape_check(
         "greedy never loses to the random control at any budget",
         greedy.iter().zip(&random).all(|(g, r)| g.1 >= r.1 - 1e-9),
     );
@@ -169,4 +170,5 @@ fn main() {
             "policies": json_policies,
         }),
     );
+    gate_shape_checks(passed);
 }

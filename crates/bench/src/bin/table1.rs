@@ -6,7 +6,7 @@
 //! SD_SCALE=harness cargo run --release -p sd-bench --bin table1
 //! ```
 
-use sd_bench::{shape_check, HarnessConfig};
+use sd_bench::{gate_shape_checks, shape_check, HarnessConfig};
 use sd_cleaning::paper_strategy;
 use sd_core::{table1, Table1Config};
 
@@ -45,31 +45,32 @@ fn main() {
     let log100_s5 = find("n=100, log", "Strategy 5");
     let raw100_s1 = find("n=100, no log", "Strategy 1");
 
-    shape_check(
+    let mut passed = true;
+    passed &= shape_check(
         "dirty missing ≈ 15.8 % (±3)",
         (log100_s1.dirty_pct[0] - 15.8).abs() < 3.0,
     );
-    shape_check(
+    passed &= shape_check(
         "dirty inconsistent ≈ 15.9 % (±3), co-occurring with missing",
         (log100_s1.dirty_pct[1] - 15.9).abs() < 3.0,
     );
-    shape_check(
+    passed &= shape_check(
         "log flags ≈3× more outliers than raw (16.8 vs 5.1)",
         log100_s1.dirty_pct[2] > 2.0 * raw100_s1.dirty_pct[2],
     );
-    shape_check(
+    passed &= shape_check(
         "strategy 1 leaves a tiny missing residual (≈0.03 %)",
         log100_s1.treated_pct[0] < 0.5 && log100_s1.treated_pct[0] > 0.0,
     );
-    shape_check(
+    passed &= shape_check(
         "imputation creates new inconsistencies (treated > 0), more without log",
         log100_s1.treated_pct[1] > 0.1 && raw100_s1.treated_pct[1] > log100_s1.treated_pct[1],
     );
-    shape_check(
+    passed &= shape_check(
         "winsorization clears outliers under strategies 1/5",
         log100_s1.treated_pct[2] < 0.2 && log100_s5.treated_pct[2] < 0.2,
     );
-    shape_check(
+    passed &= shape_check(
         "strategy 2 leaves (and grows) outliers",
         log100_s2.treated_pct[2] >= log100_s2.dirty_pct[2] * 0.9,
     );
@@ -80,12 +81,12 @@ fn main() {
     // outliers, and winsorizing those cells resolves the violation as a
     // side effect. It must never increase.
     let s3_incon_drop = log100_s3.dirty_pct[1] - log100_s3.treated_pct[1];
-    shape_check(
+    passed &= shape_check(
         "strategy 3 leaves missing untouched; inconsistent drops only via outlier overlap",
         (log100_s3.treated_pct[0] - log100_s3.dirty_pct[0]).abs() < 1e-9
             && (0.0..2.0).contains(&s3_incon_drop),
     );
-    shape_check(
+    passed &= shape_check(
         "strategies 4/5 drive missing and inconsistent to zero",
         log100_s4.treated_pct[0] == 0.0
             && log100_s4.treated_pct[1] == 0.0
@@ -111,4 +112,5 @@ fn main() {
                 .collect::<Vec<_>>(),
         }),
     );
+    gate_shape_checks(passed);
 }

@@ -170,12 +170,23 @@ pub fn mean_sd(xs: &[f64]) -> (f64, f64) {
 }
 
 /// Prints a PASS/FAIL shape-check line (the qualitative targets from the
-/// paper that the reproduction must preserve).
-pub fn shape_check(label: &str, ok: bool) {
+/// paper that the reproduction must preserve) and returns the verdict.
+pub fn shape_check(label: &str, ok: bool) -> bool {
     println!(
         "shape-check: {label} … {}",
         if ok { "PASS" } else { "FAIL" }
     );
+    ok
+}
+
+/// Ends a gated binary: exits with status 1 unless every shape check
+/// passed (`passed`), so a run that no longer reproduces the paper's
+/// findings fails.
+pub fn gate_shape_checks(passed: bool) {
+    if !passed {
+        eprintln!("shape-check: at least one check failed");
+        std::process::exit(1);
+    }
 }
 
 #[cfg(test)]

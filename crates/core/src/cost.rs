@@ -177,7 +177,7 @@ pub fn cost_sweep_with<E: TaskExecutor>(
             prepared.replication(r),
             transforms,
             &config.experiment.metrics,
-        );
+        )?;
         // One dirtiest-first ranking per replication; every fraction's
         // selection is a prefix of it.
         let ranked = dirtiest_ranking(&index, &shared.artifacts.dirty_matrices);
@@ -193,11 +193,11 @@ pub fn cost_sweep_with<E: TaskExecutor>(
                 (selected, mask)
             })
             .collect();
-        SharedSweep {
+        Ok(SharedSweep {
             shared,
             selections,
             models: (0..nf).map(|_| OnceLock::new()).collect(),
-        }
+        })
     };
 
     let unit_results = run_staged(
@@ -205,7 +205,16 @@ pub fn cost_sweep_with<E: TaskExecutor>(
         config.experiment.replications,
         config.strategies.len() * nf,
         build,
-        |sw, r, u| sweep_point(config, transforms, sw, r, u / nf, u % nf),
+        |sw: &Result<SharedSweep>, r, u| {
+            sweep_point(
+                config,
+                transforms,
+                sw.as_ref().map_err(Clone::clone)?,
+                r,
+                u / nf,
+                u % nf,
+            )
+        },
     );
     let mut out = Vec::with_capacity(unit_results.len());
     for point in unit_results {

@@ -1,5 +1,6 @@
 use crate::kernel::{
-    CvmKernel, DistortionKernel, EmdKernel, EnergyKernel, KlKernel, KsKernel, MahalanobisKernel,
+    grid_bins, CvmKernel, DistortionKernel, EmdKernel, EnergyKernel, KlKernel, KsKernel,
+    MahalanobisKernel,
 };
 use crate::{FrameworkError, Result};
 use sd_data::Dataset;
@@ -90,14 +91,11 @@ impl DistortionMetric {
             ));
         }
         for metric in metrics {
-            if let DistortionMetric::Emd { bins: 0 }
-            | DistortionMetric::KlDivergence { bins: 0 }
-            | DistortionMetric::Energy { bins: 0 } = metric
+            if let DistortionMetric::Emd { bins }
+            | DistortionMetric::KlDivergence { bins }
+            | DistortionMetric::Energy { bins } = metric
             {
-                return Err(FrameworkError::InvalidConfig(format!(
-                    "distortion metric `{}` needs at least one bin per axis",
-                    metric.name()
-                )));
+                grid_bins(metric.name(), *bins)?;
             }
         }
         Ok(())
@@ -119,15 +117,20 @@ impl DistortionMetric {
 /// Pools a dataset into working-space rows: every record of every series,
 /// each attribute pushed through its transform. Records keep NaN for
 /// missing cells (downstream consumers decide how to treat them).
+///
+/// Errors with [`FrameworkError::InvalidConfig`] unless there is exactly
+/// one transform per attribute.
 pub(crate) fn pooled_working_rows(
     data: &Dataset,
     transforms: &[AttributeTransform],
-) -> Vec<Vec<f64>> {
-    assert_eq!(
-        transforms.len(),
-        data.num_attributes(),
-        "one transform per attribute"
-    );
+) -> Result<Vec<Vec<f64>>> {
+    if transforms.len() != data.num_attributes() {
+        return Err(FrameworkError::InvalidConfig(format!(
+            "{} transforms for {} attributes: one transform per attribute is required",
+            transforms.len(),
+            data.num_attributes()
+        )));
+    }
     let mut rows = Vec::with_capacity(data.num_records());
     for series in data.series() {
         for t in 0..series.len() {
@@ -139,7 +142,7 @@ pub(crate) fn pooled_working_rows(
             rows.push(row);
         }
     }
-    rows
+    Ok(rows)
 }
 
 /// Statistical distortion `S(C, D) = d(D, D_C)` between a dirty data set
@@ -154,8 +157,8 @@ pub fn statistical_distortion(
     transforms: &[AttributeTransform],
     metric: DistortionMetric,
 ) -> Result<f64> {
-    let rows_d = pooled_working_rows(dirty, transforms);
-    let rows_c = pooled_working_rows(cleaned, transforms);
+    let rows_d = pooled_working_rows(dirty, transforms)?;
+    let rows_c = pooled_working_rows(cleaned, transforms)?;
     distortion_from_rows(&rows_d, &rows_c, metric)
 }
 
@@ -268,9 +271,51 @@ mod tests {
     }
 
     #[test]
+    fn grid_metrics_with_zero_bins_are_invalid_configs_on_every_entry_point() {
+        let (d, c) = (dataset(0.0), dataset(2.0));
+        let rows = pooled_working_rows(&d, &ID).unwrap();
+        let cache = sd_emd::SignatureCache::new(rows.clone());
+        let patched = sd_emd::PatchedCloud::new(&cache, vec![(3, vec![1.0, 2.0])]);
+        for metric in [
+            DistortionMetric::Emd { bins: 0 },
+            DistortionMetric::KlDivergence { bins: 0 },
+            DistortionMetric::Energy { bins: 0 },
+        ] {
+            let kernel = metric.kernel();
+            for (path, result) in [
+                (
+                    "statistical_distortion",
+                    statistical_distortion(&d, &c, &ID, metric),
+                ),
+                ("score_rows", kernel.score_rows(&rows, &rows)),
+                ("score_patch", kernel.prepare(&cache).score_patch(&patched)),
+            ] {
+                assert!(
+                    matches!(result, Err(FrameworkError::InvalidConfig(_))),
+                    "{metric:?} via {path}: {result:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_wrong_transform_count_is_an_invalid_config() {
+        let d = dataset(0.0);
+        for transforms in [&ID[..1], &[AttributeTransform::Identity; 3][..]] {
+            let result =
+                statistical_distortion(&d, &d, transforms, DistortionMetric::paper_default());
+            assert!(
+                matches!(result, Err(FrameworkError::InvalidConfig(_))),
+                "{} transforms: {result:?}",
+                transforms.len()
+            );
+        }
+    }
+
+    #[test]
     fn pooled_rows_shape() {
         let d = dataset(0.0);
-        let rows = pooled_working_rows(&d, &ID);
+        let rows = pooled_working_rows(&d, &ID).unwrap();
         assert_eq!(rows.len(), 64);
         assert_eq!(rows[0].len(), 2);
     }

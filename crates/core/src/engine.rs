@@ -81,6 +81,7 @@
 use crate::distortion::pooled_working_rows;
 use crate::experiment::{PreparedExperiment, ReplicationArtifacts, StrategyOutcome};
 use crate::kernel::PreparedKernel;
+use crate::runner::worker_count;
 use crate::{parallel_map, DistortionMetric, ExperimentResult, MetricScore, Result};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -105,6 +106,13 @@ pub trait TaskExecutor: Sync {
     where
         T: Send,
         F: Fn(usize) -> T + Sync;
+
+    /// How many tasks run at once: the batch the budget optimizer's greedy
+    /// scan scores speculatively per step. `1` (serial) unless the
+    /// executor says otherwise.
+    fn width(&self) -> usize {
+        1
+    }
 }
 
 /// The default executor: a work-stealing scoped thread pool
@@ -129,6 +137,10 @@ impl TaskExecutor for ThreadPoolExecutor {
         F: Fn(usize) -> T + Sync,
     {
         parallel_map(count, self.threads, f)
+    }
+
+    fn width(&self) -> usize {
+        worker_count(self.threads)
     }
 }
 
@@ -244,31 +256,64 @@ pub(crate) struct SharedReplication {
 }
 
 impl SharedReplication {
+    /// Joins a replication's artifacts with their cache side. `model`,
+    /// when given, is the artifacts' imputation model
+    /// ([`fit_replication_model`]), fitted ahead of the first unit.
+    pub(crate) fn assemble(
+        artifacts: ReplicationArtifacts,
+        cache: ReplicationCache,
+        model: Option<ModelFit>,
+    ) -> Self {
+        SharedReplication {
+            artifacts,
+            cache: cache.cache,
+            kernels: cache.kernels,
+            row_offsets: cache.row_offsets,
+            dirty_report: cache.dirty_report,
+            model: model.map_or_else(OnceLock::new, OnceLock::from),
+        }
+    }
+
     /// The replication's shared MVN imputation model, fitted by the first
     /// caller (on the full dirty sample, no missingness mask) and reused by
     /// every later unit of the group. Strategy- and schedule-invariant, so
     /// sharing cannot change bits.
     pub(crate) fn model_fit(&self) -> &ModelFit {
-        self.model.get_or_init(|| {
-            ModelFit::fit(
-                &self.artifacts.dirty,
-                &self.artifacts.dirty_matrices,
-                &self.artifacts.context,
-                None,
-            )
-        })
+        self.model
+            .get_or_init(|| fit_replication_model(&self.artifacts))
     }
 }
 
-/// Builds the shared per-replication state from calibrated artifacts:
-/// pooled dirty rows, the signature cache, and every requested kernel's
-/// prepared dirty side.
-pub(crate) fn share_replication(
-    artifacts: ReplicationArtifacts,
+/// The strategy-invariant MVN imputation model of a replication: fitted on
+/// the full dirty sample, no missingness mask.
+pub(crate) fn fit_replication_model(artifacts: &ReplicationArtifacts) -> ModelFit {
+    ModelFit::fit(
+        &artifacts.dirty,
+        &artifacts.dirty_matrices,
+        &artifacts.context,
+        None,
+    )
+}
+
+/// Everything [`SharedReplication`] derives from a replication's artifacts
+/// up front: the signature cache over the pooled dirty rows, every
+/// requested kernel's prepared dirty side, the row offsets and the dirty
+/// report.
+pub(crate) struct ReplicationCache {
+    cache: SignatureCache,
+    kernels: Vec<PreparedMetric>,
+    row_offsets: Vec<usize>,
+    dirty_report: GlitchReport,
+}
+
+/// Builds a replication's [`ReplicationCache`]. Errors only when
+/// `transforms` does not hold one transform per attribute.
+pub(crate) fn replication_cache(
+    artifacts: &ReplicationArtifacts,
     transforms: &[AttributeTransform],
     metrics: &[DistortionMetric],
-) -> SharedReplication {
-    let rows = pooled_working_rows(&artifacts.dirty, transforms);
+) -> Result<ReplicationCache> {
+    let rows = pooled_working_rows(&artifacts.dirty, transforms)?;
     let mut row_offsets = Vec::with_capacity(artifacts.dirty.num_series());
     let mut offset = 0;
     for series in artifacts.dirty.series() {
@@ -287,14 +332,25 @@ pub(crate) fn share_replication(
             }
         })
         .collect();
-    SharedReplication {
-        artifacts,
+    Ok(ReplicationCache {
         cache,
         kernels,
         row_offsets,
         dirty_report,
-        model: OnceLock::new(),
-    }
+    })
+}
+
+/// Builds the shared per-replication state from calibrated artifacts:
+/// pooled dirty rows, the signature cache, and every requested kernel's
+/// prepared dirty side. Errors only when `transforms` does not hold one
+/// transform per attribute.
+pub(crate) fn share_replication(
+    artifacts: ReplicationArtifacts,
+    transforms: &[AttributeTransform],
+    metrics: &[DistortionMetric],
+) -> Result<SharedReplication> {
+    let cache = replication_cache(&artifacts, transforms, metrics)?;
+    Ok(SharedReplication::assemble(artifacts, cache, None))
 }
 
 /// Scores one `(group, strategy)` unit against shared replication state:
@@ -428,7 +484,7 @@ pub(crate) fn run_batch<E: TaskExecutor>(
         |r| share_replication(prepared.replication(r), transforms, &config.metrics),
         |shared, r, s| {
             evaluate_unit(
-                shared,
+                shared.as_ref().map_err(Clone::clone)?,
                 transforms,
                 config.weights,
                 config.seed,

@@ -134,6 +134,17 @@ fn distortion_err(e: impl std::fmt::Display) -> FrameworkError {
     FrameworkError::Distortion(e.to_string())
 }
 
+/// A grid kernel's bins per axis, or [`FrameworkError::InvalidConfig`]
+/// when there are none: every grid needs at least one bin per axis.
+pub(crate) fn grid_bins(name: &str, bins: usize) -> Result<usize> {
+    if bins == 0 {
+        return Err(FrameworkError::InvalidConfig(format!(
+            "distortion metric `{name}` needs at least one bin per axis"
+        )));
+    }
+    Ok(bins)
+}
+
 // ---------------------------------------------------------------------------
 // EMD
 // ---------------------------------------------------------------------------
@@ -150,7 +161,7 @@ impl DistortionKernel for EmdKernel {
     }
 
     fn score_rows(&self, rows_d: &[Vec<f64>], rows_c: &[Vec<f64>]) -> Result<f64> {
-        GridEmd::new(self.bins)
+        GridEmd::new(grid_bins(self.name(), self.bins)?)
             .distance(rows_d, rows_c)
             .map_err(distortion_err)
     }
@@ -164,7 +175,7 @@ impl DistortionKernel for EmdKernel {
 
 impl PreparedKernel for EmdKernel {
     fn score_patch(&self, patched: &PatchedCloud<'_>) -> Result<f64> {
-        GridEmd::new(self.bins)
+        GridEmd::new(grid_bins(self.name(), self.bins)?)
             .distance_patched(patched)
             .map_err(distortion_err)
     }
@@ -187,8 +198,8 @@ impl DistortionKernel for KlKernel {
     }
 
     fn score_rows(&self, rows_d: &[Vec<f64>], rows_c: &[Vec<f64>]) -> Result<f64> {
-        let pair =
-            GridPair::rows(rows_d, rows_c, self.bins, Cover::MinMax).map_err(distortion_err)?;
+        let bins = grid_bins(self.name(), self.bins)?;
+        let pair = GridPair::rows(rows_d, rows_c, bins, Cover::MinMax).map_err(distortion_err)?;
         Ok(kl_from_quants(pair.dirty(), pair.cleaned()))
     }
 
@@ -199,7 +210,8 @@ impl DistortionKernel for KlKernel {
 
 impl PreparedKernel for KlKernel {
     fn score_patch(&self, patched: &PatchedCloud<'_>) -> Result<f64> {
-        let pair = GridPair::patched(patched, self.bins, Cover::MinMax).map_err(distortion_err)?;
+        let bins = grid_bins(self.name(), self.bins)?;
+        let pair = GridPair::patched(patched, bins, Cover::MinMax).map_err(distortion_err)?;
         Ok(kl_from_quants(pair.dirty(), pair.cleaned()))
     }
 }
@@ -489,9 +501,14 @@ impl DistortionKernel for EnergyKernel {
     }
 
     fn score_rows(&self, rows_d: &[Vec<f64>], rows_c: &[Vec<f64>]) -> Result<f64> {
-        GridPair::rows(rows_d, rows_c, self.bins, Cover::Robust)
-            .and_then(|pair| pair.with_signatures(energy_distance))
-            .map_err(distortion_err)
+        GridPair::rows(
+            rows_d,
+            rows_c,
+            grid_bins(self.name(), self.bins)?,
+            Cover::Robust,
+        )
+        .and_then(|pair| pair.with_signatures(energy_distance))
+        .map_err(distortion_err)
     }
 
     fn prepare(&self, _cache: &SignatureCache) -> Box<dyn PreparedKernel> {
@@ -501,7 +518,7 @@ impl DistortionKernel for EnergyKernel {
 
 impl PreparedKernel for EnergyKernel {
     fn score_patch(&self, patched: &PatchedCloud<'_>) -> Result<f64> {
-        GridPair::patched(patched, self.bins, Cover::Robust)
+        GridPair::patched(patched, grid_bins(self.name(), self.bins)?, Cover::Robust)
             .and_then(|pair| pair.with_signatures(energy_distance))
             .map_err(distortion_err)
     }

@@ -48,20 +48,43 @@
 //!
 //! # Engine mapping
 //!
-//! [`budget_optimize`] drains `R × (S × B)` units over the staged engine
-//! ([`crate::engine::run_staged`]): groups are replications sharing one
-//! `SharedReplication` slot (artifacts, signature cache,
-//! prepared kernels, lazily fitted imputation model), and each group's
-//! `S × B` units map unit `u` to `(strategy u / B, budget u % B)`. The
-//! purchase *trajectory* of a `(replication, strategy)` pair is computed
-//! once — by the first of its budget units, shared through a per-strategy
-//! `OnceLock` — and every budget point fills its selection from that
-//! trajectory's purchase order (**order semantics**: walk the planned
-//! purchases in order, buy each one the remaining budget affords, skip
-//! the rest). The order itself is planned at the *maximum* requested
-//! budget, so greedy's adaptive marginal scoring runs once per
-//! `(replication, strategy)` rather than once per budget; at the maximum
-//! budget the walk reproduces the planned purchases exactly.
+//! [`budget_optimize_with`] runs in three phases per chunk of replications
+//! (as many replications as the executor runs tasks at once, so at most
+//! that many groups are alive):
+//!
+//! 1. **groups** — one task per replication builds its
+//!    `SharedReplication` (artifacts, signature cache, prepared kernels,
+//!    lazily fitted imputation model);
+//! 2. **plans** — one plan per `(replication, strategy)` pair: the
+//!    candidate set plus the policy's purchase *trajectory*. With at least
+//!    as many plans as executor workers, the plans are the tasks and each
+//!    runs serially inside; otherwise the plans run one after another and
+//!    each spreads its own work over the executor. Either way no task
+//!    starts a second pool. A plan spreads two things: the candidate
+//!    repairs, one task per glitched series, and the greedy scan's
+//!    scores. Each greedy step scores the next candidate the serial scan
+//!    needs together with, speculatively, the following ones whose bound
+//!    beats the current best, up to the executor's width. The step then
+//!    walks the candidates in scan order against the best as updated so
+//!    far: a candidate the serial scan would prune is skipped and its
+//!    score or error dropped. The scan therefore reads exactly the scores
+//!    of the serial scan, so purchases and surfaced errors are
+//!    bit-identical, and a serial executor scores exactly the serial
+//!    scan's candidates;
+//! 3. **frontier points** — one task per `(replication, strategy,
+//!    budget)` fills its selection from the trajectory's purchase order
+//!    (**order semantics**: walk the planned purchases in order, buy each
+//!    one the remaining budget affords, skip the rest) and scores it under
+//!    every metric. When the selection is a prefix of the greedy
+//!    trajectory, the plan has already scored it: the primary metric's
+//!    value is read from the plan's record of `D` after each purchase
+//!    instead of being scored again. Both are one `PatchedCloud` of the
+//!    same row edits, so the bits agree.
+//!
+//! The order itself is planned at the *maximum* requested budget, so
+//! greedy's adaptive marginal scoring runs once per `(replication,
+//! strategy)` rather than once per budget; at the maximum budget the walk
+//! reproduces the planned purchases exactly.
 //!
 //! Unlike the cost sweep's per-fraction mask-matched fits, candidate
 //! repairs are scored against the replication-level imputation model
@@ -79,11 +102,15 @@
 
 use crate::cost::dirtiest_ranking;
 use crate::distortion::pooled_working_rows;
-use crate::engine::{run_staged, share_replication, SharedReplication, TaskExecutor};
+use crate::engine::{
+    fit_replication_model, replication_cache, ReplicationCache, SharedReplication, TaskExecutor,
+};
 use crate::experiment::ReplicationArtifacts;
 use crate::{
-    Experiment, ExperimentConfig, FrameworkError, MetricScore, Result, ThreadPoolExecutor,
+    Experiment, ExperimentConfig, FrameworkError, MetricScore, Result, SerialExecutor,
+    ThreadPoolExecutor,
 };
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sd_cleaning::{CleaningStrategy, CompositeStrategy, MissingTreatment, ModelFit};
@@ -91,7 +118,7 @@ use sd_data::Dataset;
 use sd_emd::PatchedCloud;
 use sd_glitch::{GlitchIndex, GlitchMatrix, GlitchReport, GlitchType};
 use sd_stats::AttributeTransform;
-use std::sync::OnceLock;
+use std::sync::{Arc, Condvar, OnceLock, PoisonError};
 
 /// Per-repair pricing: what one series costs to clean, as a function of
 /// its glitch annotations and the strategy doing the cleaning.
@@ -397,6 +424,13 @@ fn shuffle_seed(seed: u64, replication: usize, strategy_index: usize) -> u64 {
     seed ^ ((replication as u64) << 24) ^ ((strategy_index as u64) << 44) ^ (1 << 63)
 }
 
+/// Working-space row edits: `(pooled row, replacement row)`, ascending by
+/// row.
+type RowEdits = Vec<(usize, Vec<f64>)>;
+
+/// A borrowed [`RowEdits`].
+type Edits = [(usize, Vec<f64>)];
+
 /// One purchasable repair: a single series cleaned in isolation.
 struct Candidate {
     /// Series index in the replication's dirty sample.
@@ -409,26 +443,37 @@ struct Candidate {
     delta_improvement: f64,
     /// The repair as working-space row edits against the pooled dirty
     /// rows (ascending row order).
-    row_edits: Vec<(usize, Vec<f64>)>,
+    row_edits: RowEdits,
     /// Re-detected annotations of the repaired series.
     treated: GlitchMatrix,
 }
 
-/// The shared `(replication, strategy)` plan every budget unit fills its
-/// selection from: the candidate set plus the policy's purchase order
-/// (candidate indices, planned at the maximum requested budget).
+/// A policy's purchase order (candidate indices, planned at the maximum
+/// requested budget) and, for [`SelectionPolicy::Greedy`], the primary
+/// metric's distortion `D` of every prefix of it: `distortions[k]` is `D`
+/// after the first `k` purchases, starting with `D` of the empty
+/// selection. Empty for the baseline policies, which score nothing while
+/// planning.
+struct Trajectory {
+    order: Vec<usize>,
+    distortions: Vec<f64>,
+}
+
+/// The `(replication, strategy)` plan every budget point fills its
+/// selection from: the candidate set plus the policy's trajectory.
 struct StrategyPlan {
     candidates: Vec<Candidate>,
-    order: Vec<usize>,
+    trajectory: Trajectory,
 }
 
 /// Builds every candidate repair of one `(replication, strategy)` pair:
 /// clean each glitched series in isolation, re-detect it, price it, and
-/// record its sparse working-space edits. Pure in
-/// `(artifacts, strategy, seed)` — shared verbatim by the engine and
-/// reference paths, so their candidate sets are bit-identical.
+/// record its sparse working-space edits, one series per executor task.
+/// Pure in `(artifacts, strategy, seed)` and collected in series order —
+/// shared verbatim by the engine and reference paths, so their candidate
+/// sets are bit-identical.
 #[allow(clippy::too_many_arguments)]
-fn build_candidates(
+fn build_candidates<E: TaskExecutor>(
     artifacts: &ReplicationArtifacts,
     transforms: &[AttributeTransform],
     index: &GlitchIndex,
@@ -439,12 +484,12 @@ fn build_candidates(
     model: Option<&ModelFit>,
     base_rows: &[Vec<f64>],
     row_offsets: &[usize],
+    executor: &E,
 ) -> Vec<Candidate> {
     let num_series = artifacts.dirty.num_series();
-    let mut candidates = Vec::new();
-    for i in 0..num_series {
+    let build = |i: usize| -> Option<Candidate> {
         if index.node_score(&artifacts.dirty_matrices[i]) <= 0.0 {
-            continue;
+            return None;
         }
         let mut mask = vec![false; num_series];
         mask[i] = true;
@@ -473,7 +518,7 @@ fn build_candidates(
         // The repair's cell edits, grouped into working-space row edits
         // exactly like the engine's `score_view` (edits to one row are
         // adjacent and ascending in `t`).
-        let mut row_edits: Vec<(usize, Vec<f64>)> = Vec::new();
+        let mut row_edits: RowEdits = Vec::new();
         let offset = row_offsets[i];
         for e in view.patch().series_edits(i) {
             let row = offset + e.t as usize;
@@ -487,15 +532,19 @@ fn build_candidates(
                 new_row[a] = transforms[a].forward(e.value);
             }
         }
-        candidates.push(Candidate {
+        Some(Candidate {
             series: i,
             price: cost_model.price(strategy_index, &artifacts.dirty_matrices[i]),
             delta_improvement,
             row_edits,
             treated,
-        });
-    }
-    candidates
+        })
+    };
+    executor
+        .execute(num_series, build)
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 /// The baseline policies' fixed purchase order (candidate indices);
@@ -535,7 +584,7 @@ fn baseline_order(
 }
 
 /// Merges two row-ascending, row-disjoint edit sets into one.
-fn merge_edits(a: &[(usize, Vec<f64>)], b: &[(usize, Vec<f64>)]) -> Vec<(usize, Vec<f64>)> {
+fn merge_edits(a: &Edits, b: &Edits) -> RowEdits {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
@@ -554,75 +603,289 @@ fn merge_edits(a: &[(usize, Vec<f64>)], b: &[(usize, Vec<f64>)]) -> Vec<(usize, 
 
 /// Plans the purchase trajectory up to `max_budget` under one policy.
 ///
-/// `score_union` scores the primary metric's distortion of an edit set —
-/// the engine path scores it incrementally
-/// ([`crate::PreparedKernel::score_edits`]), the reference path
-/// materializes; both are bit-identical by the kernel contract, so the
+/// `score(selected, addition)` scores the primary metric's distortion of
+/// `selected ∪ addition` — the engine path incrementally
+/// ([`crate::PreparedKernel::score_edits`]), the reference path by
+/// materializing; both are bit-identical by the kernel contract, so the
 /// greedy decisions cannot diverge between paths. Greedy scores only the
-/// candidates whose gain bound could beat the best so far (see the
-/// module docs).
-fn plan_trajectory(
+/// candidates whose gain bound could beat the best so far (see the module
+/// docs). The scan runs on `executor.width()` workers ([`GreedyScan`]):
+/// they score, in scan order, the candidate the serial scan needs next
+/// and, speculatively, the following candidates whose bound beats the
+/// current best, while the serial walk reads each score only where the
+/// serial scan would score. The plan, and the error it surfaces, do not
+/// depend on the width, and one worker scores exactly the serial scan's
+/// candidates.
+fn plan_trajectory<E: TaskExecutor>(
     candidates: &[Candidate],
     policy: SelectionPolicy,
     order: &[usize],
     distortion_weight: f64,
     max_budget: f64,
-    mut score_union: impl FnMut(Vec<(usize, Vec<f64>)>) -> Result<f64>,
-) -> Result<Vec<usize>> {
+    executor: &E,
+    score: impl Fn(&Edits, &Edits) -> Result<f64> + Sync,
+) -> Result<Trajectory> {
     if policy != SelectionPolicy::Greedy {
         // The baseline order is budget-independent; affordability is
         // decided per budget point by [`fill_from_order`].
-        return Ok(order.to_vec());
+        return Ok(Trajectory {
+            order: order.to_vec(),
+            distortions: Vec::new(),
+        });
     }
-    let mut steps = Vec::new();
-    let mut spent = 0.0;
+    let empty_d = score(&[], &[])?;
+    let scan = Mutex::new(GreedyScan::new(
+        candidates,
+        distortion_weight,
+        max_budget,
+        empty_d,
+    ));
+    let wake = Condvar::new();
+    executor.execute(executor.width().max(1), |_| {
+        let mut guard = scan.lock();
+        loop {
+            guard.advance();
+            if guard.outcome.is_some() {
+                wake.notify_all();
+                return;
+            }
+            let Some(job) = guard.claim() else {
+                guard = wake.wait(guard).unwrap_or_else(PoisonError::into_inner);
+                continue;
+            };
+            drop(guard);
+            let result = {
+                let _abandon = AbandonOnPanic {
+                    scan: &scan,
+                    wake: &wake,
+                };
+                score(&job.selected, &candidates[job.candidate].row_edits)
+            };
+            guard = scan.lock();
+            guard.store(&job, result);
+            wake.notify_all();
+        }
+    });
+    scan.into_inner().finish()
+}
 
-    let mut remaining: Vec<usize> = (0..candidates.len()).collect();
-    let mut selected_edits: Vec<(usize, Vec<f64>)> = Vec::new();
-    let mut current_d = score_union(selected_edits.clone())?;
-    loop {
-        // Best affordable candidate by marginal gain per dollar, compared
-        // by cross-multiplication so zero prices and negative gains order
-        // correctly; strict `>` keeps ties on the earlier (lower-index)
-        // candidate.
-        let mut best: Option<(usize, f64, f64)> = None; // (position, gain, d_after)
-        let beats = |gain: f64, price: f64, best: Option<(usize, f64, f64)>| match best {
+/// One scan position's score within a greedy step.
+enum Slot {
+    /// Not claimed by any worker.
+    Open,
+    /// Being scored, or already read by the walk.
+    Claimed,
+    /// Scored, not yet read by the walk.
+    Scored(Result<f64>),
+}
+
+/// A score a worker claimed: candidate `candidate` at scan position `pos`
+/// of step `step`, added to the selection `selected`.
+struct Claim {
+    step: usize,
+    pos: usize,
+    candidate: usize,
+    selected: Arc<RowEdits>,
+}
+
+/// The greedy scan shared by the workers that score it: the serial scan
+/// (the plan so far, and this step's `walk` and `best`) and the scores
+/// claimed ahead of it.
+struct GreedyScan<'a> {
+    candidates: &'a [Candidate],
+    distortion_weight: f64,
+    max_budget: f64,
+    /// The unbought candidates in scan order.
+    remaining: Vec<usize>,
+    /// The purchases' combined row edits.
+    selected: Arc<RowEdits>,
+    /// What the purchases cost.
+    spent: f64,
+    /// The purchases, in order.
+    steps: Vec<usize>,
+    /// `D` of the empty selection, then after each purchase.
+    distortions: Vec<f64>,
+    /// The number of the current step (one per purchase); tells a late
+    /// score of an earlier step apart.
+    step: usize,
+    /// `(position, gain, d_after)` of this step's best candidate so far.
+    best: Option<(usize, f64, f64)>,
+    /// The first scan position this step has not decided yet.
+    walk: usize,
+    /// This step's scores, by scan position.
+    slots: Vec<Slot>,
+    /// Set when the scan ends: `Ok` when it stops buying, or the first
+    /// error the serial scan reads.
+    outcome: Option<Result<()>>,
+}
+
+impl<'a> GreedyScan<'a> {
+    fn new(
+        candidates: &'a [Candidate],
+        distortion_weight: f64,
+        max_budget: f64,
+        empty_d: f64,
+    ) -> Self {
+        GreedyScan {
+            candidates,
+            distortion_weight,
+            max_budget,
+            remaining: (0..candidates.len()).collect(),
+            selected: Arc::new(Vec::new()),
+            spent: 0.0,
+            steps: Vec::new(),
+            distortions: vec![empty_d],
+            step: 0,
+            best: None,
+            walk: 0,
+            slots: (0..candidates.len()).map(|_| Slot::Open).collect(),
+            outcome: None,
+        }
+    }
+
+    /// `D` of the current selection.
+    fn current_d(&self) -> f64 {
+        self.distortions[self.distortions.len() - 1]
+    }
+
+    /// Best affordable candidate by marginal gain per dollar, compared by
+    /// cross-multiplication so zero prices and negative gains order
+    /// correctly; strict `>` keeps ties on the earlier (lower-index)
+    /// candidate.
+    fn beats(&self, gain: f64, price: f64) -> bool {
+        match self.best {
             None => true,
-            Some((bpos, bgain, _)) => gain * candidates[remaining[bpos]].price > bgain * price,
-        };
-        for (pos, &c) in remaining.iter().enumerate() {
-            let cand = &candidates[c];
-            if spent + cand.price > max_budget {
-                continue;
-            }
-            // Kernel scores are ≥ 0, so `D(S ∪ c) − D(S) ≥ −D(S)`; with λ
-            // and prices ≥ 0 and every rounding step monotone, `gain ≤
-            // bound` holds exactly in floating point. A candidate whose
-            // bound cannot beat the best so far cannot win (a NaN bound
-            // implies a NaN gain), so it is never scored.
-            let bound = cand.delta_improvement + distortion_weight * current_d;
-            if !beats(bound, cand.price, best) {
-                continue;
-            }
-            let d_after = score_union(merge_edits(&selected_edits, &cand.row_edits))?;
-            let gain = cand.delta_improvement - distortion_weight * (d_after - current_d);
-            if beats(gain, cand.price, best) {
-                best = Some((pos, gain, d_after));
+            Some((bpos, bgain, _)) => {
+                gain * self.candidates[self.remaining[bpos]].price > bgain * price
             }
         }
-        let Some((pos, gain, d_after)) = best else {
-            break; // nothing affordable remains
+    }
+
+    /// Whether the serial scan, at this step's best so far, scores
+    /// position `pos`. Kernel scores are ≥ 0, so `D(S ∪ c) − D(S) ≥
+    /// −D(S)`; with λ and prices ≥ 0 and every rounding step monotone,
+    /// `gain ≤ bound` holds exactly in floating point. A candidate whose
+    /// bound cannot beat the best so far cannot win (a NaN bound implies a
+    /// NaN gain), so it is never scored.
+    fn worth_scoring(&self, pos: usize) -> bool {
+        let c = &self.candidates[self.remaining[pos]];
+        let bound = c.delta_improvement + self.distortion_weight * self.current_d();
+        self.spent + c.price <= self.max_budget && self.beats(bound, c.price)
+    }
+
+    /// Runs the serial scan forward until it needs a score it has not
+    /// got, buying the best candidate at the end of each step, or until
+    /// the scan ends.
+    fn advance(&mut self) {
+        while self.outcome.is_none() {
+            let Some(pos) = self.remaining.get(self.walk).map(|_| self.walk) else {
+                self.end_step();
+                continue;
+            };
+            if !self.worth_scoring(pos) {
+                self.walk += 1;
+                continue;
+            }
+            let d_after = match std::mem::replace(&mut self.slots[pos], Slot::Claimed) {
+                Slot::Scored(Ok(d_after)) => d_after,
+                Slot::Scored(Err(e)) => {
+                    self.outcome = Some(Err(e));
+                    return;
+                }
+                open_or_claimed => {
+                    self.slots[pos] = open_or_claimed;
+                    return;
+                }
+            };
+            let c = &self.candidates[self.remaining[pos]];
+            let gain = c.delta_improvement - self.distortion_weight * (d_after - self.current_d());
+            if self.beats(gain, c.price) {
+                self.best = Some((pos, gain, d_after));
+            }
+            self.walk += 1;
+        }
+    }
+
+    /// Buys this step's best candidate and opens the next step, or ends
+    /// the scan when nothing affordable remains or buying only hurts the
+    /// objective.
+    fn end_step(&mut self) {
+        let Some((pos, gain, d_after)) = self.best.take() else {
+            self.outcome = Some(Ok(())); // nothing affordable remains
+            return;
         };
         if gain <= 0.0 {
-            break; // spending more only hurts the objective
+            self.outcome = Some(Ok(())); // spending more only hurts the objective
+            return;
         }
-        let c = remaining.swap_remove(pos);
-        selected_edits = merge_edits(&selected_edits, &candidates[c].row_edits);
-        current_d = d_after;
-        spent += candidates[c].price;
-        steps.push(c);
+        let c = self.remaining.swap_remove(pos);
+        self.selected = Arc::new(merge_edits(&self.selected, &self.candidates[c].row_edits));
+        self.distortions.push(d_after);
+        self.spent += self.candidates[c].price;
+        self.steps.push(c);
+        self.step += 1;
+        self.walk = 0;
+        self.slots = (0..self.remaining.len()).map(|_| Slot::Open).collect();
     }
-    Ok(steps)
+
+    /// Claims the next position to score: the one the serial scan waits
+    /// on if nobody scores it yet, else the first open position after it
+    /// whose bound beats the current best. `None` when nothing is left to
+    /// claim.
+    fn claim(&mut self) -> Option<Claim> {
+        let pos = (self.walk..self.remaining.len())
+            .find(|&pos| matches!(self.slots[pos], Slot::Open) && self.worth_scoring(pos))?;
+        self.slots[pos] = Slot::Claimed;
+        Some(Claim {
+            step: self.step,
+            pos,
+            candidate: self.remaining[pos],
+            selected: Arc::clone(&self.selected),
+        })
+    }
+
+    /// Records a claimed score; a score of an earlier step is dropped.
+    fn store(&mut self, claim: &Claim, result: Result<f64>) {
+        if claim.step == self.step {
+            self.slots[claim.pos] = Slot::Scored(result);
+        }
+    }
+
+    /// The planned trajectory, or the error the scan ended on.
+    fn finish(self) -> Result<Trajectory> {
+        match self.outcome {
+            Some(Ok(())) => Ok(Trajectory {
+                order: self.steps,
+                distortions: self.distortions,
+            }),
+            Some(Err(e)) => Err(e),
+            None => Err(FrameworkError::Internal(
+                "the greedy scan stopped before it ended".into(),
+            )),
+        }
+    }
+}
+
+/// Ends the scan with an error if its worker unwinds while scoring, so the
+/// other workers stop waiting for that score; the panic itself still
+/// propagates out of the executor.
+struct AbandonOnPanic<'s, 'a> {
+    scan: &'s Mutex<GreedyScan<'a>>,
+    wake: &'s Condvar,
+}
+
+impl Drop for AbandonOnPanic<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.scan
+                .lock()
+                .outcome
+                .get_or_insert(Err(FrameworkError::Internal(
+                    "a greedy scoring worker panicked".into(),
+                )));
+            self.wake.notify_all();
+        }
+    }
 }
 
 /// Fills one budget point's selection from a trajectory's purchase
@@ -672,17 +935,116 @@ fn selection_matrices(
     treated
 }
 
-/// Everything one replication's budget units share, behind the engine's
-/// group slot.
-struct SharedOptimizer {
-    shared: SharedReplication,
-    /// Per strategy: the lazily planned purchase trajectory, built by the
-    /// first `(strategy, budget)` unit to arrive.
-    plans: Vec<OnceLock<Result<StrategyPlan>>>,
+/// One task of a group build: the cache side, or the imputation model
+/// (`None` when no strategy imputes).
+enum GroupPart {
+    Cache(Result<ReplicationCache>),
+    Model(Option<ModelFit>),
 }
 
-/// Runs the budget optimizer on the staged engine (see the module docs).
-/// Bit-identical to [`budget_optimize_reference`].
+/// Plans one `(replication, strategy)` pair on the replication's shared
+/// state: builds the candidates and the policy's trajectory, spreading
+/// both over `executor` (see the module docs).
+fn plan_strategy<E: TaskExecutor>(
+    config: &BudgetOptimizerConfig,
+    transforms: &[AttributeTransform],
+    index: &GlitchIndex,
+    shared: &SharedReplication,
+    strategy_index: usize,
+    max_budget: f64,
+    executor: &E,
+) -> Result<StrategyPlan> {
+    let strategy = &config.strategies[strategy_index];
+    let model =
+        (strategy.missing_treatment() == MissingTreatment::ModelImpute).then(|| shared.model_fit());
+    let seed = config.experiment.seed;
+    let candidates = build_candidates(
+        &shared.artifacts,
+        transforms,
+        index,
+        &config.cost_model,
+        strategy,
+        strategy_index,
+        seed,
+        model,
+        shared.cache.rows(),
+        &shared.row_offsets,
+        executor,
+    );
+    let order = baseline_order(
+        config.policy,
+        &candidates,
+        index,
+        &shared.artifacts.dirty_matrices,
+        shuffle_seed(seed, shared.artifacts.replication, strategy_index),
+    );
+    let primary = &shared.kernels[0].prepared;
+    let trajectory = plan_trajectory(
+        &candidates,
+        config.policy,
+        &order,
+        config.distortion_weight,
+        max_budget,
+        executor,
+        |selected, addition| primary.score_edits(&shared.cache, merge_edits(selected, addition)),
+    )?;
+    Ok(StrategyPlan {
+        candidates,
+        trajectory,
+    })
+}
+
+/// Scores one budget point of a planned `(replication, strategy)` pair.
+fn frontier_point(
+    config: &BudgetOptimizerConfig,
+    index: &GlitchIndex,
+    shared: &SharedReplication,
+    plan: &StrategyPlan,
+    strategy_index: usize,
+    budget: f64,
+) -> Result<FrontierPoint> {
+    let candidates = &plan.candidates;
+    let trajectory = &plan.trajectory;
+    let (selected, spent) = fill_from_order(candidates, &trajectory.order, budget);
+    // A greedy prefix was scored by the plan: same edits, same bits.
+    let planned = trajectory
+        .order
+        .starts_with(&selected)
+        .then(|| trajectory.distortions.get(selected.len()).copied())
+        .flatten();
+    let mut patched = None;
+    let mut distortions = Vec::with_capacity(shared.kernels.len());
+    for (k, kernel) in shared.kernels.iter().enumerate() {
+        let value = match planned {
+            Some(d) if k == 0 => d,
+            _ => kernel.prepared.score_patch(patched.get_or_insert_with(|| {
+                PatchedCloud::new(&shared.cache, selection_edits(candidates, &selected))
+            }))?,
+        };
+        distortions.push(MetricScore {
+            metric: kernel.name,
+            value,
+        });
+    }
+    let dirty_matrices = &shared.artifacts.dirty_matrices;
+    let treated = selection_matrices(candidates, &selected, dirty_matrices);
+    Ok(FrontierPoint {
+        budget,
+        replication: shared.artifacts.replication,
+        strategy: config.strategies[strategy_index].name(),
+        strategy_index,
+        policy: config.policy,
+        spent,
+        series_cleaned: selected.len(),
+        improvement: index.improvement(dirty_matrices, &treated),
+        distortion: distortions[0].value,
+        distortions,
+        treated_report: GlitchReport::from_matrices(&treated),
+    })
+}
+
+/// Runs the budget optimizer on `config.experiment.threads` workers (see
+/// the module docs). Bit-identical to [`budget_optimize_reference`].
 ///
 /// Points come back replication-major, then strategy, then budget.
 pub fn budget_optimize(
@@ -696,7 +1058,8 @@ pub fn budget_optimize(
     )
 }
 
-/// Like [`budget_optimize`], on a caller-supplied executor.
+/// Like [`budget_optimize`], on a caller-supplied executor. The output
+/// does not depend on the executor.
 pub fn budget_optimize_with<E: TaskExecutor>(
     data: &Dataset,
     config: &BudgetOptimizerConfig,
@@ -707,114 +1070,99 @@ pub fn budget_optimize_with<E: TaskExecutor>(
     let prepared = experiment.prepare(data)?;
     let transforms = prepared.transforms();
     let index = GlitchIndex::new(config.experiment.weights);
-    let nb = config.budgets.len();
+    let (ns, nb) = (config.strategies.len(), config.budgets.len());
     let max_budget = config.budgets.iter().copied().fold(0.0, f64::max);
-    let seed = config.experiment.seed;
+    let width = executor.width().max(1);
+    let replications = config.experiment.replications;
+    let imputes = config
+        .strategies
+        .iter()
+        .any(|s| s.missing_treatment() == MissingTreatment::ModelImpute);
 
-    let unit_results = run_staged(
-        executor,
-        config.experiment.replications,
-        config.strategies.len() * nb,
-        |r| SharedOptimizer {
-            shared: share_replication(
-                prepared.replication(r),
-                transforms,
-                &config.experiment.metrics,
-            ),
-            plans: (0..config.strategies.len())
-                .map(|_| OnceLock::new())
-                .collect(),
-        },
-        |opt, r, u| -> Result<FrontierPoint> {
-            let (si, bi) = (u / nb, u % nb);
-            let strategy = &config.strategies[si];
-            let plan = opt.plans[si].get_or_init(|| {
-                let model = if strategy.missing_treatment() == MissingTreatment::ModelImpute {
-                    Some(opt.shared.model_fit())
-                } else {
-                    None
-                };
-                let candidates = build_candidates(
-                    &opt.shared.artifacts,
+    let mut out = Vec::with_capacity(replications * ns * nb);
+    for first in (0..replications).step_by(width) {
+        let chunk = width.min(replications - first);
+        let artifacts = executor.execute(chunk, |g| prepared.replication(first + g));
+        // Each group's cache side and, when a strategy imputes, its
+        // imputation model are independent: two tasks per group.
+        let parts = executor.execute(2 * chunk, |t| {
+            let artifacts = &artifacts[t / 2];
+            if t % 2 == 0 {
+                GroupPart::Cache(replication_cache(
+                    artifacts,
+                    transforms,
+                    &config.experiment.metrics,
+                ))
+            } else {
+                GroupPart::Model(imputes.then(|| fit_replication_model(artifacts)))
+            }
+        });
+        let mut parts = parts.into_iter();
+        let groups: Vec<Result<SharedReplication>> = artifacts
+            .into_iter()
+            .map(|artifacts| match (parts.next(), parts.next()) {
+                (Some(GroupPart::Cache(cache)), Some(GroupPart::Model(model))) => {
+                    Ok(SharedReplication::assemble(artifacts, cache?, model))
+                }
+                _ => Err(FrameworkError::Internal(
+                    "a group's cache or model task is missing".into(),
+                )),
+            })
+            .collect();
+        // Plan `p` is strategy `p % ns` of the chunk's group `p / ns`.
+        let group = |p: usize| groups[p / ns].as_ref().map_err(Clone::clone);
+        let plans: Vec<Result<StrategyPlan>> = if chunk * ns >= width {
+            executor.execute(chunk * ns, |p| {
+                let shared = group(p)?;
+                plan_strategy(
+                    config,
                     transforms,
                     &index,
-                    &config.cost_model,
-                    strategy,
-                    si,
-                    seed,
-                    model,
-                    opt.shared.cache.rows(),
-                    &opt.shared.row_offsets,
-                );
-                let order = baseline_order(
-                    config.policy,
-                    &candidates,
-                    &index,
-                    &opt.shared.artifacts.dirty_matrices,
-                    shuffle_seed(seed, r, si),
-                );
-                let primary = &opt.shared.kernels[0].prepared;
-                let steps = plan_trajectory(
-                    &candidates,
-                    config.policy,
-                    &order,
-                    config.distortion_weight,
+                    shared,
+                    p % ns,
                     max_budget,
-                    |edits| primary.score_edits(&opt.shared.cache, edits),
-                )?;
-                Ok(StrategyPlan {
-                    candidates,
-                    order: steps,
-                })
-            });
-            let plan = match plan {
-                Ok(plan) => plan,
-                Err(e) => return Err(e.clone()),
-            };
-
-            let budget = config.budgets[bi];
-            let (selected, spent) = fill_from_order(&plan.candidates, &plan.order, budget);
-            let merged = selection_edits(&plan.candidates, &selected);
-            let patched = PatchedCloud::new(&opt.shared.cache, merged);
-            let mut distortions = Vec::with_capacity(opt.shared.kernels.len());
-            for kernel in &opt.shared.kernels {
-                distortions.push(MetricScore {
-                    metric: kernel.name,
-                    value: kernel.prepared.score_patch(&patched)?,
-                });
-            }
-            let treated = selection_matrices(
-                &plan.candidates,
-                &selected,
-                &opt.shared.artifacts.dirty_matrices,
-            );
-            Ok(FrontierPoint {
-                budget,
-                replication: r,
-                strategy: strategy.name(),
-                strategy_index: si,
-                policy: config.policy,
-                spent,
-                series_cleaned: selected.len(),
-                improvement: index.improvement(&opt.shared.artifacts.dirty_matrices, &treated),
-                distortion: distortions[0].value,
-                distortions,
-                treated_report: GlitchReport::from_matrices(&treated),
+                    &SerialExecutor,
+                )
             })
-        },
-    );
-
-    let mut out = Vec::with_capacity(unit_results.len());
-    for point in unit_results {
-        out.push(point?);
+        } else {
+            (0..chunk * ns)
+                .map(|p| {
+                    let shared = group(p)?;
+                    plan_strategy(
+                        config,
+                        transforms,
+                        &index,
+                        shared,
+                        p % ns,
+                        max_budget,
+                        executor,
+                    )
+                })
+                .collect()
+        };
+        let points = executor.execute(chunk * ns * nb, |u| {
+            let p = u / nb;
+            let plan = plans[p].as_ref().map_err(Clone::clone)?;
+            frontier_point(
+                config,
+                &index,
+                group(p)?,
+                plan,
+                p % ns,
+                config.budgets[u % nb],
+            )
+        });
+        for point in points {
+            out.push(point?);
+        }
     }
     Ok(out)
 }
 
 /// The preserved replication-granular reference path: one task per
-/// replication, fully materializing the cleaned cloud for every trajectory
-/// step and frontier point and scoring it through
-/// [`crate::DistortionKernel::score_rows`].
+/// replication, a serial greedy scan, and the full cleaned cloud
+/// materialized for every trajectory step and frontier point and scored
+/// through [`crate::DistortionKernel::score_rows`].
 ///
 /// Kept in-tree as [`budget_optimize`]'s bit-identity oracle (enforced by
 /// the tests in this module and `examples/budget_optimizer.rs`).
@@ -836,7 +1184,7 @@ pub fn budget_optimize_reference(
         .map(|m| m.kernel())
         .collect();
 
-    let apply_edits = |base_rows: &[Vec<f64>], edits: &[(usize, Vec<f64>)]| -> Vec<Vec<f64>> {
+    let apply_edits = |base_rows: &[Vec<f64>], edits: &Edits| -> Vec<Vec<f64>> {
         let mut rows = base_rows.to_vec();
         for (row, values) in edits {
             rows[*row] = values.clone();
@@ -849,7 +1197,7 @@ pub fn budget_optimize_reference(
         config.experiment.threads,
         |r| -> Result<Vec<FrontierPoint>> {
             let artifacts = prepared.replication(r);
-            let base_rows = pooled_working_rows(&artifacts.dirty, transforms);
+            let base_rows = pooled_working_rows(&artifacts.dirty, transforms)?;
             let mut row_offsets = Vec::with_capacity(artifacts.dirty.num_series());
             let mut offset = 0;
             for series in artifacts.dirty.series() {
@@ -862,18 +1210,8 @@ pub fn budget_optimize_reference(
 
             let mut points = Vec::new();
             for (si, strategy) in config.strategies.iter().enumerate() {
-                let model = if strategy.missing_treatment() == MissingTreatment::ModelImpute {
-                    Some(model_slot.get_or_init(|| {
-                        ModelFit::fit(
-                            &artifacts.dirty,
-                            &artifacts.dirty_matrices,
-                            &artifacts.context,
-                            None,
-                        )
-                    }))
-                } else {
-                    None
-                };
+                let model = (strategy.missing_treatment() == MissingTreatment::ModelImpute)
+                    .then(|| model_slot.get_or_init(|| fit_replication_model(&artifacts)));
                 let candidates = build_candidates(
                     &artifacts,
                     transforms,
@@ -885,6 +1223,7 @@ pub fn budget_optimize_reference(
                     model,
                     &base_rows,
                     &row_offsets,
+                    &SerialExecutor,
                 );
                 let order = baseline_order(
                     config.policy,
@@ -899,8 +1238,13 @@ pub fn budget_optimize_reference(
                     &order,
                     config.distortion_weight,
                     max_budget,
-                    |edits| kernels[0].score_rows(&base_rows, &apply_edits(&base_rows, &edits)),
-                )?;
+                    &SerialExecutor,
+                    |selected, addition| {
+                        let edits = merge_edits(selected, addition);
+                        kernels[0].score_rows(&base_rows, &apply_edits(&base_rows, &edits))
+                    },
+                )?
+                .order;
                 for &budget in &config.budgets {
                     let (selected, spent) = fill_from_order(&candidates, &steps, budget);
                     let merged = selection_edits(&candidates, &selected);
@@ -943,9 +1287,10 @@ pub fn budget_optimize_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SerialExecutor;
+    use crate::engine::share_replication;
     use sd_cleaning::paper_strategy;
     use sd_netsim::{generate, NetsimConfig};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     fn optimizer_config(policy: SelectionPolicy) -> BudgetOptimizerConfig {
         let mut experiment = ExperimentConfig::paper_default(12, 5);
@@ -1061,6 +1406,14 @@ mod tests {
         Ok(0.5 * f64::abs(a) + 0.25 * b * b)
     }
 
+    /// Adapts a one-edit-set scorer to [`plan_trajectory`]'s
+    /// `(selected, addition)` form.
+    fn merged(
+        score: impl Fn(RowEdits) -> Result<f64> + Sync,
+    ) -> impl Fn(&Edits, &Edits) -> Result<f64> + Sync {
+        move |selected, addition| score(merge_edits(selected, addition))
+    }
+
     #[test]
     fn pruned_greedy_matches_the_eager_oracle_on_synthetic_candidates() {
         let (mut pruned_total, mut eager_total) = (0, 0);
@@ -1068,33 +1421,55 @@ mod tests {
             let candidates = synthetic_candidates(seed, seed % 4 == 0);
             for weight in [0.0, 0.1, 0.5, 1e6] {
                 for max_budget in [0.0, 4.0, 12.0, 1e9] {
-                    let (mut pruned_scored, mut eager_scored) = (0, 0);
+                    let (pruned_scored, mut eager_scored) = (AtomicUsize::new(0), 0);
                     let pruned = plan_trajectory(
                         &candidates,
                         SelectionPolicy::Greedy,
                         &[],
                         weight,
                         max_budget,
-                        |edits| {
-                            pruned_scored += 1;
+                        &SerialExecutor,
+                        merged(|edits| {
+                            pruned_scored.fetch_add(1, Ordering::Relaxed);
                             synthetic_score(edits)
-                        },
+                        }),
                     )
                     .unwrap();
+                    let pruned_scored = pruned_scored.into_inner();
                     let eager = plan_trajectory_eager(&candidates, weight, max_budget, |edits| {
                         eager_scored += 1;
                         synthetic_score(edits)
                     })
                     .unwrap();
                     assert_eq!(
-                        pruned, eager,
+                        pruned.order, eager,
                         "seed {seed}, λ {weight}, budget {max_budget}"
                     );
+                    assert_eq!(pruned.distortions.len(), pruned.order.len() + 1);
                     assert!(
                         pruned_scored <= eager_scored,
                         "seed {seed}, λ {weight}, budget {max_budget}: \
                          {pruned_scored} > {eager_scored} scores"
                     );
+                    // Speculative workers read the same scores: the plan
+                    // and its distortions keep every bit.
+                    for width in [2, 3] {
+                        let wide = plan_trajectory(
+                            &candidates,
+                            SelectionPolicy::Greedy,
+                            &[],
+                            weight,
+                            max_budget,
+                            &ThreadPoolExecutor::new(width),
+                            merged(synthetic_score),
+                        )
+                        .unwrap();
+                        assert_eq!(wide.order, pruned.order, "width {width}, seed {seed}");
+                        let bits = |t: &Trajectory| -> Vec<u64> {
+                            t.distortions.iter().map(|d| d.to_bits()).collect()
+                        };
+                        assert_eq!(bits(&wide), bits(&pruned), "width {width}, seed {seed}");
+                    }
                     pruned_total += pruned_scored;
                     eager_total += eager_scored;
                 }
@@ -1114,41 +1489,107 @@ mod tests {
             synthetic(1, 1.0, 0.75, -2.0, 0.0),
             synthetic(2, 1.0, 1.75 - 2f64.powi(-40), 0.0, 0.0),
         ];
-        let pruned = plan_trajectory(
-            &candidates,
-            SelectionPolicy::Greedy,
-            &[],
-            1.0,
-            1e9,
-            synthetic_score,
-        )
-        .unwrap();
-        assert_eq!(pruned, vec![0, 1, 2]);
-        assert_eq!(
-            plan_trajectory_eager(&candidates, 1.0, 1e9, synthetic_score).unwrap(),
-            pruned
-        );
+        for width in [1, 2, 3] {
+            let pruned = plan_trajectory(
+                &candidates,
+                SelectionPolicy::Greedy,
+                &[],
+                1.0,
+                1e9,
+                &ThreadPoolExecutor::new(width),
+                merged(synthetic_score),
+            )
+            .unwrap();
+            assert_eq!(pruned.order, vec![0, 1, 2], "width {width}");
+            assert_eq!(
+                plan_trajectory_eager(&candidates, 1.0, 1e9, synthetic_score).unwrap(),
+                pruned.order
+            );
+        }
     }
 
     #[test]
     fn pruned_greedy_surfaces_only_errors_of_scored_candidates() {
         // Candidate 1 cannot beat candidate 0 (bound 0 against gain 10 at
         // equal prices), and after buying candidate 0 nothing is
-        // affordable: the pruned scan never scores it, the eager scan does.
+        // affordable: the serial scan never scores it, the eager scan does.
         let candidates = vec![
             synthetic(0, 1.0, 10.0, 0.0, 0.0),
             synthetic(1, 1.0, 0.0, 0.0, 0.0),
         ];
-        let score = |edits: Vec<(usize, Vec<f64>)>| -> Result<f64> {
-            if edits.iter().any(|(row, _)| *row == 1) {
+        let unscorable = |edits: &RowEdits| edits.iter().any(|(row, _)| *row == 1);
+        let score = |edits: RowEdits| -> Result<f64> {
+            if unscorable(&edits) {
                 return Err(FrameworkError::Distortion("unscorable".into()));
             }
             Ok(0.0)
         };
-        let pruned =
-            plan_trajectory(&candidates, SelectionPolicy::Greedy, &[], 0.1, 1.0, score).unwrap();
-        assert_eq!(pruned, vec![0]);
+        let pruned = plan_trajectory(
+            &candidates,
+            SelectionPolicy::Greedy,
+            &[],
+            0.1,
+            1.0,
+            &SerialExecutor,
+            merged(score),
+        )
+        .unwrap();
+        assert_eq!(pruned.order, vec![0]);
         assert!(plan_trajectory_eager(&candidates, 0.1, 1.0, score).is_err());
+        // On two workers, candidate 1 is scored speculatively beside
+        // candidate 0 (nothing is best yet, so its bound passes): the
+        // score of candidate 0 waits until candidate 1 has failed. The
+        // serial scan prunes candidate 1 once candidate 0 sets the best,
+        // so its error is dropped.
+        let failed = AtomicBool::new(false);
+        let wide = plan_trajectory(
+            &candidates,
+            SelectionPolicy::Greedy,
+            &[],
+            0.1,
+            1.0,
+            &ThreadPoolExecutor::new(2),
+            merged(|edits| {
+                if unscorable(&edits) {
+                    failed.store(true, Ordering::SeqCst);
+                } else if !edits.is_empty() {
+                    // At most ~10 s, so a broken scan fails instead of
+                    // hanging.
+                    for _ in 0..100_000 {
+                        if failed.load(Ordering::SeqCst) {
+                            break;
+                        }
+                        std::thread::sleep(std::time::Duration::from_micros(100));
+                    }
+                }
+                score(edits)
+            }),
+        )
+        .unwrap();
+        assert!(
+            failed.load(Ordering::SeqCst),
+            "candidate 1 was never scored"
+        );
+        assert_eq!(wide.order, pruned.order);
+        // A failure the serial scan does read surfaces at every width.
+        let needed = vec![
+            synthetic(0, 1.0, 0.0, 0.0, 0.0),
+            synthetic(1, 1.0, 10.0, 0.0, 0.0),
+        ];
+        for width in [1, 2] {
+            assert!(matches!(
+                plan_trajectory(
+                    &needed,
+                    SelectionPolicy::Greedy,
+                    &[],
+                    0.1,
+                    1.0,
+                    &ThreadPoolExecutor::new(width),
+                    merged(score),
+                ),
+                Err(FrameworkError::Distortion(_))
+            ));
+        }
     }
 
     #[test]
@@ -1166,7 +1607,8 @@ mod tests {
                 prepared.replication(r),
                 transforms,
                 &config.experiment.metrics,
-            );
+            )
+            .unwrap();
             let model = (strategy.missing_treatment() == MissingTreatment::ModelImpute)
                 .then(|| shared.model_fit());
             let candidates = build_candidates(
@@ -1180,29 +1622,35 @@ mod tests {
                 model,
                 shared.cache.rows(),
                 &shared.row_offsets,
+                &SerialExecutor,
             );
             let primary = &shared.kernels[0].prepared;
             for weight in [0.1, 0.5] {
                 for max_budget in [40.0, 1e6] {
-                    let (mut pruned_scored, mut eager_scored) = (0, 0);
+                    let (pruned_scored, mut eager_scored) = (AtomicUsize::new(0), 0);
                     let pruned = plan_trajectory(
                         &candidates,
                         SelectionPolicy::Greedy,
                         &[],
                         weight,
                         max_budget,
-                        |edits| {
-                            pruned_scored += 1;
+                        &SerialExecutor,
+                        merged(|edits| {
+                            pruned_scored.fetch_add(1, Ordering::Relaxed);
                             primary.score_edits(&shared.cache, edits)
-                        },
+                        }),
                     )
                     .unwrap();
+                    let pruned_scored = pruned_scored.into_inner();
                     let eager = plan_trajectory_eager(&candidates, weight, max_budget, |edits| {
                         eager_scored += 1;
                         primary.score_edits(&shared.cache, edits)
                     })
                     .unwrap();
-                    assert_eq!(pruned, eager, "r {r}, λ {weight}, budget {max_budget}");
+                    assert_eq!(
+                        pruned.order, eager,
+                        "r {r}, λ {weight}, budget {max_budget}"
+                    );
                     assert!(pruned_scored <= eager_scored);
                     pruned_total += pruned_scored;
                     eager_total += eager_scored;
@@ -1403,6 +1851,75 @@ mod tests {
             assert_eq!(a.spent.to_bits(), b.spent.to_bits());
             assert_eq!(a.improvement.to_bits(), b.improvement.to_bits());
             assert_eq!(a.distortion.to_bits(), b.distortion.to_bits());
+        }
+    }
+
+    /// Every scored field of a frontier, as bits.
+    fn frontier_bits(points: &[FrontierPoint]) -> Vec<u64> {
+        let mut out = Vec::new();
+        for p in points {
+            out.extend([
+                p.budget.to_bits(),
+                p.replication as u64,
+                p.strategy_index as u64,
+                p.spent.to_bits(),
+                p.series_cleaned as u64,
+                p.improvement.to_bits(),
+                p.distortion.to_bits(),
+            ]);
+            out.extend(p.distortions.iter().map(|d| d.value.to_bits()));
+        }
+        out
+    }
+
+    #[test]
+    fn frontier_bits_agree_across_executor_widths_and_the_reference() {
+        // 3 replications × 2 strategies plans in parallel, one plan per
+        // task; 1 replication × 2 strategies on three workers, and one
+        // plan on two, spread each plan's candidates and speculative
+        // greedy batches over the workers instead.
+        let data = data();
+        for (replications, strategies, policies) in [
+            (
+                3,
+                vec![paper_strategy(1), paper_strategy(5)],
+                &[
+                    SelectionPolicy::Greedy,
+                    SelectionPolicy::DirtiestFirst,
+                    SelectionPolicy::Random,
+                ][..],
+            ),
+            (
+                1,
+                vec![paper_strategy(1), paper_strategy(5)],
+                &[SelectionPolicy::Greedy][..],
+            ),
+            (1, vec![paper_strategy(1)], &[SelectionPolicy::Greedy][..]),
+        ] {
+            for &policy in policies {
+                let mut config = optimizer_config(policy);
+                config.experiment.replications = replications;
+                config.experiment.metrics = crate::DistortionMetric::full_suite();
+                config.strategies = strategies.clone();
+                config.distortion_weight = 0.5;
+                let label = format!("{policy:?}, R {replications}, S {}", strategies.len());
+                let reference = budget_optimize_reference(&data, &config).unwrap();
+                let serial = budget_optimize_with(&data, &config, &SerialExecutor).unwrap();
+                assert_eq!(serial.len(), replications * strategies.len() * 4);
+                assert_eq!(frontier_bits(&serial), frontier_bits(&reference), "{label}");
+                for threads in [2, 3] {
+                    let pool = ThreadPoolExecutor::new(threads);
+                    let parallel = budget_optimize_with(&data, &config, &pool).unwrap();
+                    assert_eq!(
+                        frontier_bits(&parallel),
+                        frontier_bits(&serial),
+                        "{label}, {threads} threads"
+                    );
+                    for (a, b) in parallel.iter().zip(&serial) {
+                        assert_eq!(a.treated_report, b.treated_report, "{label}");
+                    }
+                }
+            }
         }
     }
 

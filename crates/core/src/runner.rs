@@ -1,14 +1,28 @@
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Runs `f(0), f(1), …, f(count − 1)` across `threads` worker threads and
+/// The number of workers [`parallel_map`] runs for a `threads` setting:
+/// `threads` itself, or the machine's available parallelism for `0`.
+pub(crate) fn worker_count(threads: usize) -> usize {
+    if threads == 0 {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    } else {
+        threads
+    }
+}
+
+/// Runs `f(0), f(1), …, f(count − 1)` across `threads` workers and
 /// returns the results in index order.
 ///
 /// Replications are embarrassingly parallel — each carries its own derived
 /// RNG stream — so the experiment runner fans them out with a simple
-/// work-stealing counter over a `std::thread::scope`. `threads == 0`
-/// selects the machine's available parallelism. Results are reassembled in
-/// index order, so the output is independent of the thread count.
+/// work-stealing counter over a `std::thread::scope`. The calling thread is
+/// one of the workers, so a call starts `threads − 1` threads and the
+/// caller's core never idles in the join. `threads == 0` selects the
+/// machine's available parallelism. Results are reassembled in index
+/// order, so the output is independent of the thread count.
 pub fn parallel_map<T, F>(count: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -17,14 +31,7 @@ where
     if count == 0 {
         return Vec::new();
     }
-    let threads = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    };
-    let threads = threads.min(count);
+    let threads = worker_count(threads).min(count);
     if threads <= 1 {
         return (0..count).map(f).collect();
     }
@@ -34,17 +41,19 @@ where
     // contend on a shared results vector, and the output needs no sort —
     // slot order *is* index order.
     let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= count {
-                    break;
-                }
-                let value = f(i);
-                *slots[i].lock() = Some(value);
-            });
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= count {
+            break;
         }
+        let value = f(i);
+        *slots[i].lock() = Some(value);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(work);
+        }
+        work();
     });
 
     slots

@@ -404,7 +404,7 @@ impl WindowedExperiment {
                 let calibrated = window_segments(&self.config, data, w).and_then(|segments| {
                     calibrate_window(&self.config, &attribute_names, w, &segments, &neighbors)
                 });
-                calibrated.map(|(artifacts, screen)| {
+                calibrated.and_then(|(artifacts, screen)| {
                     screens.lock()[w] = Some(screen);
                     share_replication(artifacts, &transforms, &self.config.metrics)
                 })
@@ -690,7 +690,8 @@ pub fn evaluate_window_artifacts<E: TaskExecutor>(
                 .map(|a| share_replication(a, &transforms, &config.metrics))
         },
         |shared, _, s| match shared {
-            Some(shared) => evaluate_unit(
+            Some(Err(e)) => Err(e.clone()),
+            Some(Ok(shared)) => evaluate_unit(
                 shared,
                 &transforms,
                 config.weights,

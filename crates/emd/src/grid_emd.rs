@@ -225,12 +225,14 @@ mod tests {
 
     #[test]
     fn patched_distance_is_bit_identical_to_direct() {
-        // The patched pipeline (derived sorted columns + incrementally
-        // edited dense histogram) must equal the direct pipeline on the
-        // materialized cloud, bit for bit, across edit shapes.
+        // The patched pipeline (rank-selected cover + incrementally edited
+        // dense histogram) must equal the direct pipeline on the
+        // materialized cloud, bit for bit, across edit shapes — hostile
+        // values included, and errors too.
         let a: Vec<Vec<f64>> = (0..80)
             .map(|i| vec![(i % 9) as f64 * 1.7, (i / 9) as f64 * 0.9, (i % 5) as f64])
             .collect();
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
         let edit_sets: Vec<Vec<(usize, Vec<f64>)>> = vec![
             vec![],                            // no edits: b == a
             vec![(3, vec![100.0, -4.0, 2.0])], // one row far away
@@ -239,22 +241,48 @@ mod tests {
                 .collect(),
             vec![(7, vec![f64::NAN, 1.0, 1.0])], // edit introduces a gap
             vec![(11, vec![0.0, 0.0, 0.0]), (12, vec![8.5, 7.2, 4.0])],
+            // ±inf and ±1e300 pile into the robust cover's edge bins.
+            vec![(2, vec![inf, -1e300, 0.0]), (9, vec![-inf, 1e300, 3.0])],
+            // `-0.0` and `0.0` are distinct values of the sorted columns.
+            vec![(0, vec![-0.0, 0.0, -0.0]), (1, vec![0.0, -0.0, 0.0])],
+            // NaN new values: nothing is added on those axes.
+            vec![(6, vec![nan, nan, 1.0]), (8, vec![2.0, nan, nan])],
+            // Every row of axis 0 edited to NaN: no complete row remains.
+            (0..80).map(|r| (r, vec![nan, 1.0, 2.0])).collect(),
         ];
         let mut with_gap = a.clone();
         with_gap[5][0] = f64::NAN; // base cloud itself has a gap
-        for base in [a.clone(), with_gap] {
+                                   // Axis 0 constant: its IQR is 0, so the cover falls back to
+                                   // min–max (finite edits only, which keep that range finite).
+        let constant: Vec<Vec<f64>> = a.iter().map(|r| vec![3.0, r[1], r[2]]).collect();
+        let constant_edits: Vec<Vec<(usize, Vec<f64>)>> = vec![
+            vec![],
+            vec![(4, vec![1e300, -0.0, 1.0]), (5, vec![-1e300, 0.0, 2.0])],
+            vec![(6, vec![nan, 2.0, 2.0]), (7, vec![-0.0, 3.0, 3.0])],
+        ];
+        let mut scored = 0;
+        for (base, edit_sets) in [
+            (a.clone(), &edit_sets),
+            (with_gap, &edit_sets),
+            (constant, &constant_edits),
+        ] {
             for bins in [6, 4, 5] {
                 let g = GridEmd::new(bins);
                 let cache = SignatureCache::new(base.clone());
-                for edits in &edit_sets {
+                for edits in edit_sets {
                     let patched = PatchedCloud::new(&cache, edits.clone());
                     let b = patched.materialize();
-                    let direct = g.distance(&base, &b).unwrap();
-                    let fast = g.distance_patched(&patched).unwrap();
-                    assert_eq!(direct.to_bits(), fast.to_bits());
+                    let direct = g.distance(&base, &b);
+                    let fast = g.distance_patched(&patched);
+                    scored += usize::from(fast.is_ok());
+                    assert_eq!(direct.map(f64::to_bits), fast.map(f64::to_bits));
                     // The quantization diagnostics agree too.
-                    let rows = GridPair::rows(&base, &b, bins, Cover::Robust).unwrap();
-                    let cached = GridPair::patched(&patched, bins, Cover::Robust).unwrap();
+                    let (Ok(rows), Ok(cached)) = (
+                        GridPair::rows(&base, &b, bins, Cover::Robust),
+                        GridPair::patched(&patched, bins, Cover::Robust),
+                    ) else {
+                        continue;
+                    };
                     for (x, y) in [
                         (rows.dirty(), cached.dirty()),
                         (rows.cleaned(), cached.cleaned()),
@@ -270,6 +298,9 @@ mod tests {
                 assert_eq!(cache.memoized(), before);
             }
         }
+        // Only the all-NaN axis fails (no complete row), on both bases
+        // that carry it, at each of the three resolutions.
+        assert_eq!(scored, 3 * (2 * 9 + 3) - 2 * 3);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use crate::signature::{quantize, scaled_signature, CachedSide, CloudQuant, PatchedCloud};
 use crate::{EmdError, Result, Signature};
-use sd_stats::{sorted_union_columns, GridSpec};
+use sd_stats::{sorted_union_columns, EditedUnion, GridSpec, RankedColumn};
 use std::sync::Arc;
 
 /// Half-width, in IQR units, of the [`Cover::Robust`] axis range.
@@ -19,10 +19,13 @@ pub enum Cover {
 }
 
 impl Cover {
-    fn spec(self, columns: &[(&[f64], &[f64])], bins: usize) -> GridSpec {
+    /// The grid over one [`RankedColumn`] per axis, each the union of both
+    /// clouds' present values on that axis: the one cover rule behind
+    /// [`GridPair::rows`] and [`GridPair::patched`].
+    fn spec<C: RankedColumn>(self, columns: &[C], bins: usize) -> GridSpec {
         match self {
-            Cover::MinMax => GridSpec::from_sorted_column_pairs_min_max(columns, bins),
-            Cover::Robust => GridSpec::from_sorted_column_pairs_robust(columns, bins, ROBUST_Z),
+            Cover::MinMax => GridSpec::from_ranked_columns_min_max(columns, bins),
+            Cover::Robust => GridSpec::from_ranked_columns_robust(columns, bins, ROBUST_Z),
         }
     }
 }
@@ -42,9 +45,11 @@ enum DirtySide {
 ///
 /// The grid covers the union of both clouds (so both distributions share
 /// one support, as Definition 1 requires), and [`GridPair::rows`] and
-/// [`GridPair::patched`] build bit-identical pairs: the patched form reads
-/// the cover from the cached and derived sorted columns by rank selection
-/// and edits the cached dirty histogram only at the changed rows. Both
+/// [`GridPair::patched`] build bit-identical pairs through one cover rule:
+/// the rows form reads it from the materialized union columns, the patched
+/// form selects the same order statistics by rank from the cached columns
+/// and the patch's edit values, and edits the cached dirty histogram only
+/// at the changed rows. Both
 /// clouds are guaranteed to hold mass on the grid.
 #[derive(Debug)]
 pub struct GridPair {
@@ -64,9 +69,8 @@ impl GridPair {
         cover: Cover,
     ) -> Result<Self> {
         let columns = sorted_union_columns(dirty, cleaned).ok_or(EmdError::EmptyInput)?;
-        let halves: Vec<(&[f64], &[f64])> =
-            columns.iter().map(|c| (c.as_slice(), &[][..])).collect();
-        let spec = cover.spec(&halves, bins);
+        let columns: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
+        let spec = cover.spec(&columns, bins);
         let quant = quantize(&spec, dirty);
         if quant.total == 0.0 {
             return Err(EmdError::EmptyInput);
@@ -77,20 +81,23 @@ impl GridPair {
 
     /// The pair for the cache's cloud against a [`PatchedCloud`]
     /// counterpart, bit-identical to [`GridPair::rows`] on
-    /// `(cache.rows(), patched.materialize())`. The dirty quantization is
-    /// memoized in the cache per grid.
+    /// `(cache.rows(), patched.materialize())`. The cover's order
+    /// statistics are selected by rank from the cached sorted columns and
+    /// the patch's sorted edit values ([`EditedUnion`]), so no column is merged or materialized here; only
+    /// the marginal kernels (KS, Cramér–von Mises) materialize patched
+    /// columns. The dirty quantization is memoized in the cache per grid.
     pub fn patched(patched: &PatchedCloud<'_>, bins: usize, cover: Cover) -> Result<Self> {
         let cache = patched.cache();
         if cache.rows().is_empty() {
             return Err(EmdError::EmptyInput);
         }
-        let halves: Vec<(&[f64], &[f64])> = cache
+        let unions: Vec<EditedUnion<'_>> = cache
             .sorted_columns()
             .iter()
-            .zip(patched.sorted_columns())
-            .map(|(a, b)| (a.as_slice(), b.as_slice()))
+            .zip(patched.edit_columns())
+            .map(|(column, edit)| EditedUnion::new(column, &edit.removed, &edit.added))
             .collect();
-        let spec = cover.spec(&halves, bins);
+        let spec = cover.spec(&unions, bins);
         let side = cache.side_for(&spec, &normalized_scale(&spec))?;
         let cleaned = patched.quantize_on(&spec, &side.quant);
         Self::finish(DirtySide::Cached(side), cleaned)
@@ -151,4 +158,90 @@ fn normalized_scale(spec: &GridSpec) -> Vec<f64> {
             }
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SignatureCache;
+    use proptest::prelude::*;
+    use sd_stats::{min_max_range, robust_range};
+
+    /// A cell value: mostly small integers (so ties are common), with
+    /// ±inf, ±1e300, `-0.0`/`0.0` and NaN mixed in.
+    fn value() -> impl Strategy<Value = f64> {
+        (0u8..24, -6.0f64..6.0).prop_map(|(tag, x)| match tag {
+            0 => f64::INFINITY,
+            1 => f64::NEG_INFINITY,
+            2 => 1e300,
+            3 => -1e300,
+            4 => 0.0,
+            5 => -0.0,
+            6 => f64::NAN,
+            7..=15 => x.round(),
+            _ => x,
+        })
+    }
+
+    /// Bounds as bits, so `-0.0` and `0.0` stay distinct.
+    fn bits(range: Option<(f64, f64)>) -> Option<(u64, u64)> {
+        range.map(|(lo, hi)| (lo.to_bits(), hi.to_bits()))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The rank-selected `Robust` and `MinMax` bounds of
+        /// `dirty ⊎ patched` equal those of the merged column (the cached
+        /// column merged with `remove_then_merge`'s patched column), bit for
+        /// bit. `mode` forces the edge cases: 1 empties `added` on axis 0,
+        /// 2 empties `removed` on axis 1, 3 edits every row of axis 0 to
+        /// NaN, 4 makes axis 0 constant (IQR 0, the min–max fallback).
+        #[test]
+        fn rank_selected_cover_matches_the_merged_column(
+            cells in prop::collection::vec((value(), value()), 1..40),
+            edits in prop::collection::vec((0usize..40, value(), value()), 0..24),
+            mode in 0u8..5,
+        ) {
+            let mut rows: Vec<Vec<f64>> = cells.iter().map(|&(x, y)| vec![x, y]).collect();
+            let n = rows.len();
+            if mode == 4 {
+                for row in &mut rows {
+                    row[0] = 2.0;
+                }
+            }
+            let mut edits: Vec<(usize, Vec<f64>)> = edits
+                .into_iter()
+                .map(|(row, x, y)| (row % n, vec![x, y]))
+                .collect();
+            if mode == 3 {
+                edits = (0..n).map(|row| (row, vec![f64::NAN, rows[row][1]])).collect();
+            }
+            edits.sort_by_key(|e| e.0);
+            edits.dedup_by_key(|e| e.0);
+            for (row, new_row) in &mut edits {
+                match mode {
+                    1 => new_row[0] = f64::NAN,
+                    2 => rows[*row][1] = f64::NAN,
+                    _ => {}
+                }
+            }
+            let cache = SignatureCache::new(rows);
+            let patched = PatchedCloud::new(&cache, edits);
+            for (k, edit) in patched.edit_columns().iter().enumerate() {
+                let column = &cache.sorted_columns()[k];
+                let mut merged = [column.as_slice(), &patched.sorted_columns()[k]].concat();
+                merged.sort_by(f64::total_cmp);
+                let merged = merged.as_slice();
+                let union = EditedUnion::new(column, &edit.removed, &edit.added);
+                prop_assert_eq!(union.len(), merged.len());
+                prop_assert_eq!(bits(min_max_range(&union)), bits(min_max_range(&merged)));
+                prop_assert_eq!(
+                    bits(robust_range(&union, ROBUST_Z)),
+                    bits(robust_range(&merged, ROBUST_Z)),
+                    "axis {k}, mode {mode}"
+                );
+            }
+        }
+    }
 }

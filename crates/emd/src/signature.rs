@@ -357,22 +357,40 @@ impl SignatureCache {
 ///
 /// This is how the experiment engine hands a *cleaned* sample to the
 /// distortion kernels: the cleaned cloud is the dirty cloud with a few
-/// percent of rows rewritten, so its sorted columns are derived from the
-/// cached sorted columns in `O(N + k log k)` (remove old values, merge new
-/// ones) and — on dense grids — its histogram is the cached histogram with
-/// `k` rows re-binned, instead of re-sorting and re-binning all `N` rows
-/// per comparison. All derivations are exact: per-cell masses are integer
-/// counts and multiset edits under [`f64::total_cmp`] are bit-precise, so
-/// [`crate::GridPair::patched`] equals [`crate::GridPair::rows`] on the
-/// materialized cloud bit for bit.
+/// percent of rows rewritten. Per axis, the patch sorts only its `k`
+/// removed and added values, once per patch. The grid
+/// kernels (EMD, KL, energy) read their cover from those and the cached
+/// sorted columns by rank selection ([`sd_stats::EditedUnion`]), and on
+/// dense grids quantize by re-binning the `k` edited rows of the cached
+/// histogram, so neither the `N`-row cloud nor its columns are rebuilt per
+/// comparison. Only the KS and Cramér–von Mises kernels, which read whole
+/// marginals, materialize the patched sorted columns
+/// ([`PatchedCloud::sorted_columns`], `O(N + k log k)`). All derivations
+/// are exact: per-cell masses are integer counts and multiset edits under
+/// [`f64::total_cmp`] are bit-precise, so [`crate::GridPair::patched`]
+/// equals [`crate::GridPair::rows`] on the materialized cloud bit for bit.
 #[derive(Debug)]
 pub struct PatchedCloud<'a> {
     cache: &'a SignatureCache,
     /// `(row index, replacement row)`, ascending and unique by row.
     edits: Vec<(usize, Vec<f64>)>,
-    /// Derived sorted columns, memoized so every kernel scoring this
-    /// patched cloud (EMD, KL, KS, …) shares one derivation.
+    /// Per axis, the sorted removed and added values, memoized so every
+    /// kernel scoring this patched cloud shares one sort.
+    edits_memo: OnceLock<Vec<EditColumn>>,
+    /// Derived sorted columns, memoized for the marginal kernels (KS,
+    /// Cramér–von Mises).
     columns_memo: OnceLock<Vec<Vec<f64>>>,
+}
+
+/// One axis of a patch: the edited rows' old and new present values, each
+/// ascending by [`f64::total_cmp`].
+#[derive(Debug)]
+pub(crate) struct EditColumn {
+    /// The edited rows' old values (NaN-free): a sub-multiset of the
+    /// cached sorted column.
+    pub(crate) removed: Vec<f64>,
+    /// The edited rows' new values (NaN-free).
+    pub(crate) added: Vec<f64>,
 }
 
 impl<'a> PatchedCloud<'a> {
@@ -393,6 +411,7 @@ impl<'a> PatchedCloud<'a> {
         PatchedCloud {
             cache,
             edits,
+            edits_memo: OnceLock::new(),
             columns_memo: OnceLock::new(),
         }
     }
@@ -422,35 +441,49 @@ impl<'a> PatchedCloud<'a> {
         rows
     }
 
-    /// Per-axis sorted columns of the patched cloud, derived from the
+    /// Per axis, the edited rows' removed (old) and added (new) present
+    /// values, each sorted by [`f64::total_cmp`]. Derived once and
+    /// memoized; together with the cached sorted column they define the
+    /// patched column without materializing it.
+    pub(crate) fn edit_columns(&self) -> &[EditColumn] {
+        self.edits_memo.get_or_init(|| {
+            let rows = self.cache.rows();
+            (0..self.cache.sorted_columns.len())
+                .map(|k| {
+                    let mut removed = Vec::with_capacity(self.edits.len());
+                    let mut added = Vec::with_capacity(self.edits.len());
+                    for (row, new_row) in &self.edits {
+                        let old = rows[*row][k];
+                        if !old.is_nan() {
+                            removed.push(old);
+                        }
+                        if !new_row[k].is_nan() {
+                            added.push(new_row[k]);
+                        }
+                    }
+                    removed.sort_by(f64::total_cmp);
+                    added.sort_by(f64::total_cmp);
+                    EditColumn { removed, added }
+                })
+                .collect()
+        })
+    }
+
+    /// Per-axis sorted columns of the patched cloud, materialized from the
     /// cached sorted columns: remove each edited row's old value, merge in
-    /// its new value. Multiset edits under [`f64::total_cmp`] are
-    /// bit-precise, so the result equals sorting the materialized cloud
-    /// from scratch. Derived once and memoized — every kernel scoring this
-    /// patched cloud shares the same columns.
+    /// its new value. Multiset edits under
+    /// [`f64::total_cmp`] are bit-precise, so the result equals sorting the
+    /// materialized cloud from scratch. Derived once and memoized. Only the
+    /// marginal kernels (KS, Cramér–von Mises) read it; the grid kernels
+    /// select their cover by rank instead.
     pub fn sorted_columns(&self) -> &[Vec<f64>] {
         self.columns_memo.get_or_init(|| {
-            let dim = self.cache.sorted_columns.len();
-            let mut out = Vec::with_capacity(dim);
-            let mut removed = Vec::new();
-            let mut added = Vec::new();
-            for (k, col) in self.cache.sorted_columns.iter().enumerate() {
-                removed.clear();
-                added.clear();
-                for (row, new_row) in &self.edits {
-                    let old = self.cache.rows()[*row][k];
-                    if !old.is_nan() {
-                        removed.push(old);
-                    }
-                    if !new_row[k].is_nan() {
-                        added.push(new_row[k]);
-                    }
-                }
-                removed.sort_by(f64::total_cmp);
-                added.sort_by(f64::total_cmp);
-                out.push(remove_then_merge(col, &removed, &added));
-            }
-            out
+            self.cache
+                .sorted_columns
+                .iter()
+                .zip(self.edit_columns())
+                .map(|(col, edit)| remove_then_merge(col, &edit.removed, &edit.added))
+                .collect()
         })
     }
 

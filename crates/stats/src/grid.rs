@@ -1,4 +1,4 @@
-use crate::HistogramSpec;
+use crate::{quantile_of_ranked, HistogramSpec, RankedColumn};
 use std::collections::BTreeMap;
 
 /// Uniform binning of a `d`-dimensional box: one [`HistogramSpec`] per axis.
@@ -28,23 +28,21 @@ impl GridSpec {
     /// empty.
     pub fn covering(a: &[Vec<f64>], b: &[Vec<f64>], bins: usize) -> Option<Self> {
         let columns = sorted_union_columns(a, b)?;
-        let pairs: Vec<(&[f64], &[f64])> =
-            columns.iter().map(|c| (c.as_slice(), &[][..])).collect();
-        Some(Self::from_sorted_column_pairs_min_max(&pairs, bins))
+        let columns: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
+        Some(Self::from_ranked_columns_min_max(&columns, bins))
     }
 
-    /// Min–max cover where each axis's union column is given as **two**
-    /// sorted halves (ascending by [`f64::total_cmp`], NaN-free; e.g. a
-    /// cached cloud's column and a derived counterpart column): the
-    /// extremes are read by two-array rank selection
-    /// ([`crate::select_sorted_pair`]), so the union is never
+    /// Min–max cover with one axis per [`RankedColumn`] (the union of
+    /// both clouds' values on that axis: a materialized sorted column, or
+    /// an [`crate::EditedUnion`] of a cached column and its edited copy).
+    /// The extremes are read by rank, so an edited union is never
     /// materialized. Empty columns get a degenerate (widened) axis.
-    pub fn from_sorted_column_pairs_min_max(pairs: &[(&[f64], &[f64])], bins: usize) -> Self {
-        Self::from_axis_ranges(pairs, bins, sorted_pair_range)
+    pub fn from_ranked_columns_min_max<C: RankedColumn>(columns: &[C], bins: usize) -> Self {
+        Self::from_axis_ranges(columns, bins, min_max_range)
     }
 
-    /// Robust cover over per-axis sorted column pairs (see
-    /// [`GridSpec::from_sorted_column_pairs_min_max`]): each axis spans
+    /// Robust cover over per-axis [`RankedColumn`]s (see
+    /// [`GridSpec::from_ranked_columns_min_max`]): each axis spans
     /// `median ± z_range · IQR` of the union, with values outside clamping
     /// into the edge bins.
     ///
@@ -55,37 +53,27 @@ impl GridSpec {
     /// "mass moved into low-likelihood regions" signal the statistical-
     /// distortion metric must see. Degenerate axes (IQR = 0) fall back to
     /// the min–max cover.
-    pub fn from_sorted_column_pairs_robust(
-        pairs: &[(&[f64], &[f64])],
+    pub fn from_ranked_columns_robust<C: RankedColumn>(
+        columns: &[C],
         bins: usize,
         z_range: f64,
     ) -> Self {
         assert!(z_range > 0.0, "z_range must be positive");
-        Self::from_axis_ranges(pairs, bins, |a, b| {
-            let median = crate::quantile_of_sorted_pair(a, b, 0.5)?;
-            let q1 = crate::quantile_of_sorted_pair(a, b, 0.25)?;
-            let q3 = crate::quantile_of_sorted_pair(a, b, 0.75)?;
-            let iqr = q3 - q1;
-            if iqr > 0.0 {
-                Some((median - z_range * iqr, median + z_range * iqr))
-            } else {
-                sorted_pair_range(a, b)
-            }
-        })
+        Self::from_axis_ranges(columns, bins, |column| robust_range(column, z_range))
     }
 
-    /// One axis per column pair, spanning `range` of the pair; an empty
-    /// pair (no range) gets a degenerate (widened) axis.
-    fn from_axis_ranges(
-        pairs: &[(&[f64], &[f64])],
+    /// One axis per column, spanning `range` of the column; an empty
+    /// column (no range) gets a degenerate (widened) axis.
+    fn from_axis_ranges<C: RankedColumn>(
+        columns: &[C],
         bins: usize,
-        range: impl Fn(&[f64], &[f64]) -> Option<(f64, f64)>,
+        range: impl Fn(&C) -> Option<(f64, f64)>,
     ) -> Self {
-        assert!(!pairs.is_empty(), "grid needs at least one axis");
-        let axes = pairs
+        assert!(!columns.is_empty(), "grid needs at least one axis");
+        let axes = columns
             .iter()
-            .map(|&(a, b)| {
-                let (lo, hi) = range(a, b).unwrap_or((0.0, 0.0));
+            .map(|column| {
+                let (lo, hi) = range(column).unwrap_or((0.0, 0.0));
                 HistogramSpec::new(lo, hi, bins)
             })
             .collect();
@@ -125,14 +113,26 @@ impl GridSpec {
     }
 }
 
-/// The smallest and largest value of the union of two sorted columns;
-/// `None` when both are empty.
-fn sorted_pair_range(a: &[f64], b: &[f64]) -> Option<(f64, f64)> {
-    let last = (a.len() + b.len()).checked_sub(1)?;
-    Some((
-        crate::select_sorted_pair(a, b, 0)?,
-        crate::select_sorted_pair(a, b, last)?,
-    ))
+/// The smallest and largest value of a ranked column: one axis of the
+/// min–max cover. `None` when the column is empty.
+pub fn min_max_range<C: RankedColumn>(column: &C) -> Option<(f64, f64)> {
+    let last = column.len().checked_sub(1)?;
+    Some((column.select(0)?, column.select(last)?))
+}
+
+/// `median ± z_range · IQR` of a ranked column, or its min–max range when
+/// the IQR is not positive: one axis of the robust cover. `None` when the
+/// column is empty.
+pub fn robust_range<C: RankedColumn>(column: &C, z_range: f64) -> Option<(f64, f64)> {
+    let median = quantile_of_ranked(column, 0.5)?;
+    let q1 = quantile_of_ranked(column, 0.25)?;
+    let q3 = quantile_of_ranked(column, 0.75)?;
+    let iqr = q3 - q1;
+    if iqr > 0.0 {
+        Some((median - z_range * iqr, median + z_range * iqr))
+    } else {
+        min_max_range(column)
+    }
 }
 
 /// Per-axis sorted (by [`f64::total_cmp`]), NaN-free columns of the union

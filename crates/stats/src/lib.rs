@@ -23,12 +23,12 @@ mod transform;
 
 pub use correlation::{autocorrelation, pearson};
 pub use ecdf::{cvm_statistic_sorted, ks_statistic_sorted, Ecdf};
-pub use grid::{sorted_union_columns, GridHistogram, GridSpec};
+pub use grid::{min_max_range, robust_range, sorted_union_columns, GridHistogram, GridSpec};
 pub use histogram::{Histogram, HistogramSpec};
 pub use kl::kl_divergence;
 pub use pairwise::SumTree;
 pub use quantile::{
-    median, quantile, quantile_of_sorted, quantile_of_sorted_pair, select_sorted_pair,
+    median, quantile, quantile_of_ranked, quantile_of_sorted, EditedUnion, RankedColumn,
 };
 pub use summary::Summary;
 pub use transform::AttributeTransform;

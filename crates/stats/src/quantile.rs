@@ -3,43 +3,119 @@
 ///
 /// `q` is clamped to `[0, 1]`. Returns `None` for an empty slice.
 pub fn quantile_of_sorted(sorted: &[f64], q: f64) -> Option<f64> {
-    if sorted.is_empty() {
-        return None;
-    }
-    let q = q.clamp(0.0, 1.0);
-    let h = q * (sorted.len() as f64 - 1.0);
-    let lo = h.floor() as usize;
-    let hi = h.ceil() as usize;
-    if lo == hi {
-        return Some(sorted[lo]);
-    }
-    let frac = h - lo as f64;
-    Some(sorted[lo] + frac * (sorted[hi] - sorted[lo]))
+    quantile_of_ranked(sorted, q)
 }
 
-/// Element at ascending rank `k` (0-based, by [`f64::total_cmp`]) of the
-/// multiset union of two ascending-sorted slices, without materializing
-/// the merge. Equal values are interchangeable, so the result is
-/// bit-identical to `merge(a, b)[k]`. `None` when `k` is out of range.
-pub fn select_sorted_pair(a: &[f64], b: &[f64], k: usize) -> Option<f64> {
-    if k >= a.len() + b.len() {
-        return None;
+/// An ascending (by [`f64::total_cmp`]), NaN-free multiset of values read
+/// only by rank: one axis's input to the grid cover rule
+/// ([`crate::GridSpec::from_ranked_columns_robust`]). A sorted slice is
+/// one; [`EditedUnion`] reads a cached column together with an edited copy
+/// of it without merging the two.
+pub trait RankedColumn {
+    /// Number of values.
+    fn len(&self) -> usize;
+
+    /// The value at ascending rank `k` (0-based); `None` when `k ≥ len`.
+    fn select(&self, k: usize) -> Option<f64>;
+
+    /// Whether the multiset is empty.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
     }
-    let (a, b) = if a.len() > b.len() { (b, a) } else { (a, b) };
-    // Binary search the number `i` of elements taken from `a`: the
-    // smallest split where b's untaken prefix no longer precedes a[i].
-    let mut lo = k.saturating_sub(b.len());
-    let mut hi = k.min(a.len());
-    while lo < hi {
-        let i = (lo + hi) / 2;
-        let j = k - i;
-        if j > 0 && b[j - 1].total_cmp(&a[i]).is_gt() {
-            lo = i + 1;
-        } else {
-            hi = i;
+}
+
+impl RankedColumn for [f64] {
+    fn len(&self) -> usize {
+        <[f64]>::len(self)
+    }
+
+    fn select(&self, k: usize) -> Option<f64> {
+        self.get(k).copied()
+    }
+}
+
+impl<C: RankedColumn + ?Sized> RankedColumn for &C {
+    fn len(&self) -> usize {
+        (**self).len()
+    }
+
+    fn select(&self, k: usize) -> Option<f64> {
+        (**self).select(k)
+    }
+}
+
+/// The multiset `base ⊎ (base − removed + added)`: a sorted column
+/// together with a copy of it in which the values `removed` were replaced
+/// by the values `added` — a cached dirty column and its cleaned
+/// counterpart, read by rank without materializing either the edited copy
+/// or the union.
+///
+/// The number of values `≤ x` is `2·c_base(x) − c_removed(x) +
+/// c_added(x)`, so one selection costs `O(log n · (log n + log k))` for a
+/// base of `n` and `k` edits, instead of the `O(n)` merge. Every selection
+/// returns the very element `merge(base, base − removed + added)[k]` holds
+/// under [`f64::total_cmp`] (`-0.0` and `0.0` are distinct values there),
+/// so nothing derived from it can move a bit.
+#[derive(Debug, Clone, Copy)]
+pub struct EditedUnion<'a> {
+    base: &'a [f64],
+    removed: &'a [f64],
+    added: &'a [f64],
+}
+
+impl<'a> EditedUnion<'a> {
+    /// All three slices ascend by [`f64::total_cmp`] and hold no NaN;
+    /// `removed` is a sub-multiset of `base` (each removed value was read
+    /// from a base row).
+    pub fn new(base: &'a [f64], removed: &'a [f64], added: &'a [f64]) -> Self {
+        EditedUnion {
+            base,
+            removed,
+            added,
         }
     }
-    smaller_head(a, b, lo, k - lo)
+
+    /// The number of union values `≤ x` under [`f64::total_cmp`].
+    fn count_le(&self, x: f64) -> usize {
+        (2 * count_le(self.base, x) + count_le(self.added, x))
+            .saturating_sub(count_le(self.removed, x))
+    }
+
+    /// The smallest value of `side` with more than `k` union values at or
+    /// below it.
+    fn first_past(&self, side: &[f64], k: usize) -> Option<f64> {
+        side.get(side.partition_point(|&x| self.count_le(x) <= k))
+            .copied()
+    }
+}
+
+/// The number of values of an ascending slice that are `≤ x` under
+/// [`f64::total_cmp`].
+fn count_le(sorted: &[f64], x: f64) -> usize {
+    sorted.partition_point(|y| y.total_cmp(&x).is_le())
+}
+
+impl RankedColumn for EditedUnion<'_> {
+    fn len(&self) -> usize {
+        (2 * self.base.len() + self.added.len()).saturating_sub(self.removed.len())
+    }
+
+    fn select(&self, k: usize) -> Option<f64> {
+        if k >= self.len() {
+            return None;
+        }
+        // The rank-`k` value is the smallest union value whose count
+        // exceeds `k`. Every union value lies in `base` or `added`, and a
+        // base value is always in the union (`removed ⊆ base`), so the
+        // answer is the smaller of the two sides' first such values.
+        match (
+            self.first_past(self.base, k),
+            self.first_past(self.added, k),
+        ) {
+            (Some(x), Some(y)) => Some(if x.total_cmp(&y).is_le() { x } else { y }),
+            (x, y) => x.or(y),
+        }
+    }
 }
 
 /// The smaller (by [`f64::total_cmp`]) of `a[i]` and `b[j]`, whichever
@@ -52,11 +128,11 @@ pub(crate) fn smaller_head(a: &[f64], b: &[f64], i: usize, j: usize) -> Option<f
     }
 }
 
-/// Type-7 quantile of the union of two ascending-sorted slices —
-/// bit-identical to `quantile_of_sorted(&merge(a, b), q)` with the merge
-/// elided (two rank selections instead of an `O(n)` copy).
-pub fn quantile_of_sorted_pair(a: &[f64], b: &[f64], q: f64) -> Option<f64> {
-    let len = a.len() + b.len();
+/// Type-7 quantile of a [`RankedColumn`]: two rank selections, and for a
+/// sorted slice bit-identical to [`quantile_of_sorted`]. `q` is clamped to
+/// `[0, 1]`; `None` for an empty column.
+pub fn quantile_of_ranked<C: RankedColumn + ?Sized>(column: &C, q: f64) -> Option<f64> {
+    let len = column.len();
     if len == 0 {
         return None;
     }
@@ -64,12 +140,12 @@ pub fn quantile_of_sorted_pair(a: &[f64], b: &[f64], q: f64) -> Option<f64> {
     let h = q * (len as f64 - 1.0);
     let lo = h.floor() as usize;
     let hi = h.ceil() as usize;
-    let xlo = select_sorted_pair(a, b, lo)?;
+    let xlo = column.select(lo)?;
     if lo == hi {
         return Some(xlo);
     }
     let frac = h - lo as f64;
-    let xhi = select_sorted_pair(a, b, hi)?;
+    let xhi = column.select(hi)?;
     Some(xlo + frac * (xhi - xlo))
 }
 
@@ -111,44 +187,80 @@ mod tests {
         assert_eq!(quantile(&[], 0.5), None);
     }
 
+    /// `merge(base, base − removed + added)`, materialized.
+    fn merged_union(base: &[f64], removed: &[f64], added: &[f64]) -> Vec<f64> {
+        let mut edited = base.to_vec();
+        for r in removed {
+            let at = edited
+                .iter()
+                .position(|x| x.to_bits() == r.to_bits())
+                .unwrap();
+            edited.remove(at);
+        }
+        edited.extend_from_slice(added);
+        let mut merged = [base, &edited].concat();
+        merged.sort_by(f64::total_cmp);
+        merged
+    }
+
     #[test]
     fn pair_selection_matches_merge() {
-        let cases: Vec<(Vec<f64>, Vec<f64>)> = vec![
-            (vec![1.0, 3.0, 5.0], vec![2.0, 4.0, 6.0]),
-            (vec![], vec![1.0, 2.0]),
-            (vec![7.0], vec![]),
-            (vec![1.0, 1.0, 1.0], vec![1.0, 2.0]),
-            (vec![-3.0, 0.0, 0.0, 9.0], vec![-3.0, 12.0]),
-            (vec![f64::NEG_INFINITY, 2.0], vec![2.0, f64::INFINITY]),
+        // (base, removed ⊆ base, added), each ascending by `total_cmp`.
+        let cases: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)> = vec![
+            (vec![1.0, 3.0, 5.0], vec![3.0], vec![2.0, 4.0, 6.0]),
+            (vec![], vec![], vec![1.0, 2.0]),
+            (vec![7.0], vec![], vec![]),
+            (vec![7.0], vec![7.0], vec![]),
+            (vec![1.0, 1.0, 1.0], vec![1.0, 1.0], vec![1.0, 2.0]),
+            (
+                vec![-3.0, -0.0, 0.0, 9.0],
+                vec![-0.0],
+                vec![-3.0, 0.0, 12.0],
+            ),
+            (vec![-0.0, 0.0], vec![0.0], vec![-0.0]),
+            (
+                vec![f64::NEG_INFINITY, -1e300, 2.0],
+                vec![-1e300],
+                vec![2.0, 1e300, f64::INFINITY],
+            ),
+            (vec![2.0, 4.0], vec![2.0, 4.0], vec![]),
         ];
-        for (a, b) in cases {
-            let mut merged = [a.clone(), b.clone()].concat();
-            merged.sort_by(f64::total_cmp);
+        for (base, removed, added) in cases {
+            let merged = merged_union(&base, &removed, &added);
+            let union = EditedUnion::new(&base, &removed, &added);
+            assert_eq!(union.len(), merged.len());
             for (k, expected) in merged.iter().enumerate() {
                 assert_eq!(
-                    select_sorted_pair(&a, &b, k).map(f64::to_bits),
+                    union.select(k).map(f64::to_bits),
                     Some(expected.to_bits()),
-                    "k={k} a={a:?} b={b:?}"
+                    "k={k} base={base:?} removed={removed:?} added={added:?}"
                 );
             }
-            assert_eq!(select_sorted_pair(&a, &b, merged.len()), None);
+            assert_eq!(union.select(merged.len()), None);
             for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0] {
                 assert_eq!(
-                    quantile_of_sorted_pair(&a, &b, q).map(f64::to_bits),
+                    quantile_of_ranked(&union, q).map(f64::to_bits),
                     quantile_of_sorted(&merged, q).map(f64::to_bits),
-                    "q={q} a={a:?} b={b:?}"
+                    "q={q} base={base:?} removed={removed:?} added={added:?}"
                 );
             }
         }
-        assert_eq!(quantile_of_sorted_pair(&[], &[], 0.5), None);
+        assert_eq!(
+            quantile_of_ranked(&EditedUnion::new(&[], &[], &[]), 0.5),
+            None
+        );
     }
 
     #[test]
     fn out_of_range_rank_selects_nothing() {
-        assert_eq!(select_sorted_pair(&[1.0, 2.0], &[3.0], 3), None);
-        assert_eq!(select_sorted_pair(&[1.0, 2.0], &[3.0], usize::MAX), None);
-        assert_eq!(select_sorted_pair(&[], &[], 0), None);
-        assert_eq!(select_sorted_pair(&[1.0, 2.0], &[3.0], 2), Some(3.0));
+        let union = EditedUnion::new(&[1.0, 2.0], &[1.0], &[3.0]);
+        assert_eq!(union.len(), 4);
+        assert_eq!(union.select(4), None);
+        assert_eq!(union.select(usize::MAX), None);
+        assert_eq!(union.select(3), Some(3.0));
+        assert_eq!(EditedUnion::new(&[], &[], &[]).select(0), None);
+        assert_eq!([1.0, 2.0][..].select(2), None);
+        assert!(RankedColumn::is_empty(&[][..]));
     }
 
     #[test]

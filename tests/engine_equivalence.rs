@@ -7,7 +7,9 @@
 //! fit, full re-detection, uncached distortion — and is kept exactly for
 //! this cross-check (the figure generators use it too).
 
-use statistical_distortion::core::{PreparedExperiment, SerialExecutor, StrategyOutcome};
+use statistical_distortion::core::{
+    budget_optimize_with, PreparedExperiment, SerialExecutor, StrategyOutcome,
+};
 use statistical_distortion::prelude::*;
 
 fn reference_outcomes(
@@ -163,4 +165,91 @@ fn multi_metric_engine_scores_every_kernel_bit_identically() {
         .run_with(&data, &strategies, &SerialExecutor)
         .unwrap();
     assert_bit_identical(&reference, serial.outcomes(), "full suite serial");
+}
+
+/// Hostile KPI values through the batch engine: cells set to ±inf and
+/// ±1e300 (the cells the streaming suite pins through `sd-serve`) leave
+/// `run_with`, the cost sweep and the budget optimizer `Ok` with finite
+/// distortions, and the optimizer's frontier does not depend on the
+/// executor.
+#[test]
+fn hostile_kpi_values_stay_finite_through_the_batch_engine() {
+    let mut data = generate(&NetsimConfig::small(43)).dataset;
+    let hostile = [f64::INFINITY, f64::NEG_INFINITY, 1e300, -1e300];
+    let (series, attributes) = (data.num_series(), data.num_attributes());
+    for (k, &value) in hostile.iter().enumerate() {
+        for j in 0..3 {
+            let i = (5 * k + 17 * j + 3) % series;
+            let t = 7 + 11 * j + 3 * k;
+            data.series_mut()[i].set((k + j) % attributes, t, value);
+            data.series_mut()[i].set((k + j) % attributes, t + 1, value);
+        }
+    }
+    let mut config = ExperimentConfig::paper_default(20, 43);
+    config.replications = 2;
+    config.threads = 2;
+    let strategies = vec![paper_strategy(1), paper_strategy(5)];
+
+    let batch = Experiment::new(config.clone())
+        .run_with(&data, &strategies, &ThreadPoolExecutor::new(2))
+        .unwrap_or_else(|e| panic!("run_with failed: {e}"));
+    for outcome in batch.outcomes() {
+        assert!(
+            outcome.distortions.iter().all(|d| d.value.is_finite()),
+            "run_with: {:?}",
+            outcome.distortions
+        );
+    }
+
+    let sweep = cost_sweep(
+        &data,
+        &CostSweepConfig {
+            experiment: config.clone(),
+            fractions: vec![0.0, 0.5, 1.0],
+            strategies: strategies.clone(),
+            transport: TransportMode::Cold,
+        },
+    )
+    .unwrap_or_else(|e| panic!("cost_sweep failed: {e}"));
+    for point in &sweep {
+        assert!(
+            point.distortions.iter().all(|d| d.value.is_finite()),
+            "cost_sweep: {:?}",
+            point.distortions
+        );
+    }
+
+    let budget = BudgetOptimizerConfig {
+        experiment: config,
+        strategies,
+        budgets: vec![0.0, 10.0, 40.0, 1e6],
+        cost_model: CostModel::uniform(),
+        policy: SelectionPolicy::Greedy,
+        distortion_weight: 0.1,
+        transport: TransportMode::Cold,
+    };
+    let bits = |points: &[FrontierPoint]| -> Vec<u64> {
+        let mut out = Vec::new();
+        for p in points {
+            assert!(
+                p.distortions.iter().all(|d| d.value.is_finite()),
+                "budget_optimize_with: {:?}",
+                p.distortions
+            );
+            out.extend([
+                p.spent.to_bits(),
+                p.series_cleaned as u64,
+                p.improvement.to_bits(),
+            ]);
+            out.extend(p.distortions.iter().map(|d| d.value.to_bits()));
+        }
+        out
+    };
+    let serial = budget_optimize_with(&data, &budget, &SerialExecutor)
+        .unwrap_or_else(|e| panic!("budget_optimize_with (serial) failed: {e}"));
+    let pooled = budget_optimize_with(&data, &budget, &ThreadPoolExecutor::new(2))
+        .unwrap_or_else(|e| panic!("budget_optimize_with (2 threads) failed: {e}"));
+    assert_eq!(serial.len(), 2 * 2 * 4);
+    assert!(serial.iter().any(|p| p.series_cleaned > 0));
+    assert_eq!(bits(&serial), bits(&pooled));
 }
