@@ -71,12 +71,12 @@
 //! # Cost-sweep and budget-optimizer workloads
 //!
 //! [`crate::cost_sweep`] drains `(replication, strategy × fraction)` units
-//! over the same groups, and [`crate::budget_optimize`] drains
-//! `(replication, strategy × budget)` units: both reuse the replication's
-//! `SharedReplication` slot and score through `score_view`-style
-//! incremental kernels. The optimizer additionally shares each
-//! `(replication, strategy)` purchase trajectory across its budget units —
-//! see [`crate::optimize`]'s docs for the unit shape.
+//! over the same groups, reusing the replication's `SharedReplication`
+//! slot and scoring through `score_view`. [`crate::budget_optimize`]
+//! builds the same per-replication state but runs in phases instead
+//! (groups, then one purchase plan per `(replication, strategy)`, then the
+//! budget points), so that a plan can spread its own work over the
+//! executor — see [`crate::optimize`]'s docs.
 
 use crate::distortion::pooled_working_rows;
 use crate::experiment::{PreparedExperiment, ReplicationArtifacts, StrategyOutcome};
