@@ -107,9 +107,9 @@ pub trait TaskExecutor: Sync {
         T: Send,
         F: Fn(usize) -> T + Sync;
 
-    /// How many tasks run at once: the batch the budget optimizer's greedy
-    /// scan scores speculatively per step. `1` (serial) unless the
-    /// executor says otherwise.
+    /// How many tasks run at once; the budget optimizer runs its greedy
+    /// scan on this many workers. `1` (serial) unless the executor says
+    /// otherwise.
     fn width(&self) -> usize {
         1
     }

@@ -28,9 +28,11 @@
 //! The kernels achieve this without re-deriving full state:
 //!
 //! * **EMD, KL, energy** — one front half, [`GridPair`]: its rows form on
-//!   the reference path, its patched form on the engine path (derived
-//!   sorted columns, rank-selected cover, the cache's memoized dirty
-//!   histogram with only the edited rows re-binned for the cleaned side).
+//!   the reference path, its patched form on the engine path (a cover
+//!   rank-selected from the cached sorted columns and the patch's edited
+//!   values, so no column is merged or materialized, and the cache's
+//!   memoized dirty histogram with only the edited rows re-binned for the
+//!   cleaned side).
 //!   Masses are exact integer counts, so the incremental edit is
 //!   bit-precise. Each kernel keeps only its back half: the transport
 //!   solve (EMD, robust cover), [`kl_divergence`] over the aligned

@@ -191,7 +191,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The rank-selected `Robust` and `MinMax` bounds of
+        /// Every rank, and the `Robust` and `MinMax` bounds, selected from
         /// `dirty ⊎ patched` equal those of the merged column (the cached
         /// column merged with `remove_then_merge`'s patched column), bit for
         /// bit. `mode` forces the edge cases: 1 empties `added` on axis 0,
@@ -235,6 +235,9 @@ mod tests {
                 let merged = merged.as_slice();
                 let union = EditedUnion::new(column, &edit.removed, &edit.added);
                 prop_assert_eq!(union.len(), merged.len());
+                for (k, x) in merged.iter().enumerate() {
+                    prop_assert_eq!(union.select(k).map(f64::to_bits), Some(x.to_bits()));
+                }
                 prop_assert_eq!(bits(min_max_range(&union)), bits(min_max_range(&merged)));
                 prop_assert_eq!(
                     bits(robust_range(&union, ROBUST_Z)),

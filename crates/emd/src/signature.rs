@@ -358,12 +358,11 @@ impl SignatureCache {
 /// This is how the experiment engine hands a *cleaned* sample to the
 /// distortion kernels: the cleaned cloud is the dirty cloud with a few
 /// percent of rows rewritten. Per axis, the patch sorts only its `k`
-/// removed and added values, once per patch. The grid
-/// kernels (EMD, KL, energy) read their cover from those and the cached
-/// sorted columns by rank selection ([`sd_stats::EditedUnion`]), and on
-/// dense grids quantize by re-binning the `k` edited rows of the cached
-/// histogram, so neither the `N`-row cloud nor its columns are rebuilt per
-/// comparison. Only the KS and Cramér–von Mises kernels, which read whole
+/// removed and added values, once per patch. The grid kernels (EMD, KL,
+/// energy) read their cover from those and the cached sorted columns by
+/// rank selection ([`sd_stats::EditedUnion`]), and on dense grids quantize
+/// by re-binning the `k` edited rows of the cached histogram, so neither
+/// the `N`-row cloud nor its columns are rebuilt per comparison. Only the KS and Cramér–von Mises kernels, which read whole
 /// marginals, materialize the patched sorted columns
 /// ([`PatchedCloud::sorted_columns`], `O(N + k log k)`). All derivations
 /// are exact: per-cell masses are integer counts and multiset edits under
@@ -471,11 +470,11 @@ impl<'a> PatchedCloud<'a> {
 
     /// Per-axis sorted columns of the patched cloud, materialized from the
     /// cached sorted columns: remove each edited row's old value, merge in
-    /// its new value. Multiset edits under
-    /// [`f64::total_cmp`] are bit-precise, so the result equals sorting the
-    /// materialized cloud from scratch. Derived once and memoized. Only the
-    /// marginal kernels (KS, Cramér–von Mises) read it; the grid kernels
-    /// select their cover by rank instead.
+    /// its new value. Multiset edits under [`f64::total_cmp`] are
+    /// bit-precise, so the result equals sorting the materialized cloud
+    /// from scratch. Derived once and memoized. Only the marginal kernels
+    /// (KS, Cramér–von Mises) read it; the grid kernels select their cover
+    /// by rank instead.
     pub fn sorted_columns(&self) -> &[Vec<f64>] {
         self.columns_memo.get_or_init(|| {
             self.cache
