@@ -778,10 +778,11 @@ impl<'a> GreedyScan<'a> {
     /// the scan ends.
     fn advance(&mut self) {
         while self.outcome.is_none() {
-            let Some(pos) = self.remaining.get(self.walk).map(|_| self.walk) else {
+            let pos = self.walk;
+            if pos == self.remaining.len() {
                 self.end_step();
                 continue;
-            };
+            }
             if !self.worth_scoring(pos) {
                 self.walk += 1;
                 continue;
