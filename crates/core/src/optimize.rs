@@ -609,13 +609,13 @@ fn merge_edits(a: &Edits, b: &Edits) -> RowEdits {
 /// materializing; both are bit-identical by the kernel contract, so the
 /// greedy decisions cannot diverge between paths. Greedy scores only the
 /// candidates whose gain bound could beat the best so far (see the module
-/// docs). The scan runs on `executor.width()` workers ([`GreedyScan`]):
-/// they score, in scan order, the candidate the serial scan needs next
-/// and, speculatively, the following candidates whose bound beats the
-/// current best, while the serial walk reads each score only where the
-/// serial scan would score. The plan, and the error it surfaces, do not
-/// depend on the width, and one worker scores exactly the serial scan's
-/// candidates.
+/// docs). The scan runs on up to `executor.width()` workers
+/// ([`GreedyScan`]): they score, in scan order, the candidate the serial
+/// scan needs next and, speculatively, the following candidates whose
+/// bound beats the current best, while the serial walk reads each score
+/// only where the serial scan would score. The plan, and the error it
+/// surfaces, do not depend on the width, and one worker scores exactly the
+/// serial scan's candidates.
 fn plan_trajectory<E: TaskExecutor>(
     candidates: &[Candidate],
     policy: SelectionPolicy,
@@ -641,7 +641,9 @@ fn plan_trajectory<E: TaskExecutor>(
         empty_d,
     ));
     let wake = Condvar::new();
-    executor.execute(executor.width().max(1), |_| {
+    // No more workers than candidates: each claims one score at a time.
+    let workers = executor.width().clamp(1, candidates.len().max(1));
+    executor.execute(workers, |_| {
         let mut guard = scan.lock();
         loop {
             guard.advance();
