@@ -194,6 +194,18 @@ mod tests {
     }
 
     #[test]
+    fn last_column_running_dry_first_matches_transport_problem() {
+        let (supply, demand, cost) = crate::transport::tests::LAST_COLUMN_DRY_FIRST;
+        let batched = BatchTransport::new()
+            .solve(&supply, &demand, &cost)
+            .unwrap();
+        assert_eq!(
+            batched.to_bits(),
+            standalone(&supply, &demand, &cost).to_bits()
+        );
+    }
+
+    #[test]
     fn rejects_malformed_inputs_like_transport_problem() {
         let mut arena = BatchTransport::new();
         assert!(matches!(

@@ -118,8 +118,10 @@ pub(crate) fn northwest_corner_into(
             break;
         }
         // Advance along the exhausted side; on ties prefer the row so a
-        // degenerate zero-flow basic cell keeps the basis a tree.
-        if s[i] <= d[j] && i + 1 < n {
+        // degenerate zero-flow basic cell keeps the basis a tree. After the
+        // demand rescale the last column can run dry an ulp before its row
+        // does; the walk then moves down, never past the last column.
+        if (s[i] <= d[j] || j + 1 == m) && i + 1 < n {
             i += 1;
         } else {
             j += 1;
@@ -259,7 +261,7 @@ impl TransportProblem {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn solve(supply: Vec<f64>, demand: Vec<f64>, cost: Vec<f64>) -> f64 {
@@ -347,6 +349,25 @@ mod tests {
     fn zero_weight_bins_are_tolerated() {
         let d = solve(vec![0.0, 1.0], vec![1.0, 0.0], vec![0.0, 5.0, 2.0, 5.0]);
         assert!((d - 2.0).abs() < 1e-12);
+    }
+
+    /// The rescaled last column runs dry an ulp before the first row,
+    /// and the row after it holds no supply: the north-west walk must step
+    /// down to it, not past the last column.
+    pub(crate) const LAST_COLUMN_DRY_FIRST: ([f64; 2], [f64; 2], [f64; 4]) = (
+        [1.1781636685821368, 0.0],
+        [0.18816853578224801, 0.9899951327998887],
+        [1.0, 2.0, 3.0, 4.0],
+    );
+
+    #[test]
+    fn last_column_running_dry_first_does_not_overrun() {
+        let (supply, demand, cost) = LAST_COLUMN_DRY_FIRST;
+        let mut p = TransportProblem::new(supply.to_vec(), demand.to_vec(), cost.to_vec()).unwrap();
+        let d = p.solve().unwrap();
+        // Row 1 is empty, so row 0 ships to both columns at costs 1 and 2.
+        let expected = (0.18816853578224801 + 2.0 * 0.9899951327998887) / 1.1781636685821368;
+        assert!((d - expected).abs() < 1e-12, "{d} vs {expected}");
     }
 
     #[test]
