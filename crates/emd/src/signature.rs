@@ -1,6 +1,6 @@
 use crate::{EmdError, Result};
 use parking_lot::Mutex;
-use sd_stats::{sorted_union_columns, GridHistogram, GridSpec};
+use sd_stats::{sorted_union_columns, GridHistogram, GridSpec, HistogramSpec};
 use std::sync::{Arc, OnceLock};
 
 /// A discrete distribution: weighted points in `R^d`.
@@ -268,11 +268,22 @@ pub(crate) struct CachedSide {
 /// Two layers are cached:
 ///
 /// 1. the cloud's per-axis **sorted columns**, so the shared-support cover
-///    rule merges pre-sorted columns instead of re-sorting the union for
-///    every comparison;
+///    rule selects its order statistics from pre-sorted columns instead of
+///    re-sorting the union for every comparison;
 /// 2. the cloud's **histogram + scaled signature per distinct grid**, so
 ///    comparisons that land on the same grid (e.g. a no-op strategy, or
 ///    repeated scoring) skip quantization entirely.
+///
+/// A miss on a dense grid is **derived** from the most recently memoized
+/// side with the same bins per axis: a patch moves the cover only
+/// slightly, so only the rows between an old and a new bin edge change
+/// cell. `bin_of` is monotone in `x`, so each edge is a binary search in
+/// the sorted column, and a per-axis argsort (built on the first derived
+/// miss, so a cache scored once never sorts) names the rows in between.
+/// Only those rows move their unit count. Counts are exact integers and the
+/// total and skipped rows do not depend on the grid, so a derived side is
+/// bit-identical to quantizing all rows afresh. Sparse grids, a changed
+/// bin count and a degenerate axis re-bin every row.
 ///
 /// All methods take `&self`; the memo is internally synchronized, so one
 /// cache can be shared across worker threads via `Arc`. Results are
@@ -282,6 +293,9 @@ pub(crate) struct CachedSide {
 pub struct SignatureCache {
     rows: Vec<Vec<f64>>,
     sorted_columns: Vec<Vec<f64>>,
+    /// Per axis, the row of each `sorted_columns` entry (an argsort), built
+    /// on the first derived miss.
+    column_rows: OnceLock<Vec<Vec<u32>>>,
     memo: Mutex<Vec<Arc<CachedSide>>>,
 }
 
@@ -294,6 +308,7 @@ impl SignatureCache {
         SignatureCache {
             rows,
             sorted_columns,
+            column_rows: OnceLock::new(),
             memo: Mutex::new(Vec::new()),
         }
     }
@@ -319,19 +334,29 @@ impl SignatureCache {
     }
 
     /// The cached cloud's quantization for `(spec, scale)`, built on first
-    /// use and memoized. Errors with [`EmdError::EmptyInput`] when the
-    /// cloud contributes no density on the grid (no complete rows).
+    /// use and memoized: derived from the most recent memoized side with
+    /// the same dense grid shape when there is one, quantized from every
+    /// row otherwise (bit-identical either way). Errors with
+    /// [`EmdError::EmptyInput`] when the cloud contributes no density on
+    /// the grid (no complete rows).
     pub(crate) fn side_for(&self, spec: &GridSpec, scale: &[f64]) -> Result<Arc<CachedSide>> {
-        {
+        let base = {
             let memo = self.memo.lock();
             if let Some(entry) = memo.iter().find(|e| e.spec == *spec && e.scale == scale) {
                 return Ok(Arc::clone(entry));
             }
-        }
+            memo.iter()
+                .rev()
+                .find(|e| e.quant.counts.is_some() && same_shape(&e.spec, spec))
+                .cloned()
+        };
         // Build outside the lock: quantization is deterministic, so a
         // concurrent duplicate build yields identical bits and either copy
         // may be memoized.
-        let quant = quantize(spec, &self.rows);
+        let quant = match base.and_then(|base| self.derive(&base, spec)) {
+            Some(quant) => quant,
+            None => quantize(spec, &self.rows),
+        };
         if quant.total == 0.0 {
             return Err(EmdError::EmptyInput);
         }
@@ -349,6 +374,78 @@ impl SignatureCache {
         memo.push(Arc::clone(&entry));
         Ok(entry)
     }
+
+    /// `base`'s quantization moved onto `spec`, a dense grid of the same
+    /// shape: only rows between an old and a new bin edge are re-binned.
+    /// `None` when `base` is sparse or an axis of either grid has no
+    /// finite positive bin width.
+    fn derive(&self, base: &CachedSide, spec: &GridSpec) -> Option<CloudQuant> {
+        let counts = base.quant.counts.as_ref()?;
+        let regular = |ax: &HistogramSpec| ax.width().is_finite() && ax.width() > 0.0;
+        if !base.spec.axes().iter().chain(spec.axes()).all(regular) {
+            return None;
+        }
+        let column_rows = self.column_rows.get_or_init(|| argsort_columns(&self.rows));
+        let mut moved: Vec<u32> = Vec::new();
+        for (((old, new), column), rows) in base
+            .spec
+            .axes()
+            .iter()
+            .zip(spec.axes())
+            .zip(&self.sorted_columns)
+            .zip(column_rows)
+        {
+            // `bin_of` is monotone in `x`, so the values below each edge
+            // form a prefix of the sorted column under either grid; the
+            // rows between the two prefix ends are the ones that cross it.
+            for edge in 1..new.bins {
+                let a = column.partition_point(|&x| old.bin_of(x) < Some(edge));
+                let b = column.partition_point(|&x| new.bin_of(x) < Some(edge));
+                moved.extend_from_slice(&rows[a.min(b)..a.max(b)]);
+            }
+        }
+        moved.sort_unstable();
+        moved.dedup();
+        let mut counts = counts.clone();
+        for &row in &moved {
+            let row = &self.rows[row as usize];
+            // A row is skipped on both grids or on neither (only NaN is).
+            if let (Some(from), Some(to)) = (flat_cell_of(&base.spec, row), flat_cell_of(spec, row))
+            {
+                counts[from] -= 1.0;
+                counts[to] += 1.0;
+            }
+        }
+        Some(dense_quant(
+            spec,
+            counts,
+            base.quant.total,
+            base.quant.skipped,
+        ))
+    }
+}
+
+/// Whether two grids have the same dimension and bins per axis (so a dense
+/// histogram on one has the other's flat layout).
+fn same_shape(a: &GridSpec, b: &GridSpec) -> bool {
+    a.dim() == b.dim() && a.axes().iter().zip(b.axes()).all(|(x, y)| x.bins == y.bins)
+}
+
+/// Per axis, the rows of the cloud's present values in ascending
+/// [`f64::total_cmp`] order: row `r[k][i]` holds the `i`-th value of the
+/// axis's sorted column (values equal under `total_cmp` are bit-equal, so
+/// any order among ties names the same values).
+fn argsort_columns(rows: &[Vec<f64>]) -> Vec<Vec<u32>> {
+    let dim = rows.first().map_or(0, Vec::len);
+    (0..dim)
+        .map(|k| {
+            let mut order: Vec<u32> = (0..rows.len() as u32)
+                .filter(|&r| !rows[r as usize][k].is_nan())
+                .collect();
+            order.sort_unstable_by(|&a, &b| rows[a as usize][k].total_cmp(&rows[b as usize][k]));
+            order
+        })
+        .collect()
 }
 
 /// A counterpart cloud expressed as sparse row edits against a
@@ -605,6 +702,118 @@ pub fn ground_distance_matrix(p: &[Vec<f64>], q: &[Vec<f64>]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A cell value: mostly small integers (so ties and values on bin
+    /// edges are common), with ±inf, ±1e300, `-0.0`/`0.0` and NaN mixed in.
+    fn value() -> impl Strategy<Value = f64> {
+        (0u8..24, -6.0f64..6.0).prop_map(|(tag, x)| match tag {
+            0 => f64::INFINITY,
+            1 => f64::NEG_INFINITY,
+            2 => 1e300,
+            3 => -1e300,
+            4 => 0.0,
+            5 => -0.0,
+            6 => f64::NAN,
+            7..=15 => x.round(),
+            _ => x,
+        })
+    }
+
+    /// One axis of a grid: mostly a range near the data, sometimes a
+    /// degenerate (widened) one, a ±1e300 one, or one whose width
+    /// overflows to infinity (which re-bins every row).
+    fn axis(bins: usize) -> impl Strategy<Value = HistogramSpec> {
+        (0u8..10, -7.0f64..3.0, 0.0f64..10.0).prop_map(move |(tag, lo, width)| match tag {
+            0 => HistogramSpec::new(lo, lo, bins),
+            1 => HistogramSpec::new(-1e300, 1e300, bins),
+            2 => HistogramSpec::new(-f64::MAX, f64::MAX, bins),
+            _ => HistogramSpec::new(lo, lo + width, bins),
+        })
+    }
+
+    fn assert_bit_identical(x: &CloudQuant, y: &CloudQuant) {
+        let bits = |c: &Option<Vec<f64>>| {
+            c.as_ref()
+                .map(|c| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+        };
+        assert_eq!(bits(&x.counts), bits(&y.counts));
+        assert_eq!(x.total.to_bits(), y.total.to_bits());
+        assert_eq!((x.skipped, x.occupied), (y.skipped, y.occupied));
+        assert_eq!(x.pairs.len(), y.pairs.len());
+        for ((xc, xm), (yc, ym)) in x.pairs.iter().zip(&y.pairs) {
+            let centre = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(centre(xc), centre(yc));
+            assert_eq!(xm.to_bits(), ym.to_bits());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A chain of misses, each derived from the side memoized before
+        /// it, equals quantizing every row afresh, bit for bit. `constant`
+        /// pins axis 1 to one value.
+        #[test]
+        fn derived_side_equals_a_fresh_quantize(
+            cells in prop::collection::vec((value(), value()), 1..60),
+            grids in prop::collection::vec((axis(5), axis(5)), 1..6),
+            constant in 0u8..2,
+        ) {
+            let rows: Vec<Vec<f64>> = cells
+                .iter()
+                .map(|&(x, y)| vec![x, if constant == 1 { 2.5 } else { y }])
+                .collect();
+            let cache = SignatureCache::new(rows.clone());
+            let mut previous: Option<GridSpec> = None;
+            for (x, y) in grids {
+                let spec = GridSpec::new(vec![x, y]);
+                let fresh = quantize(&spec, &rows);
+                if let Some(old) = &previous {
+                    let base = CachedSide {
+                        spec: old.clone(),
+                        scale: vec![1.0, 1.0],
+                        quant: quantize(old, &rows),
+                        signature: Signature::new(vec![vec![0.0, 0.0]], vec![1.0]).unwrap(),
+                    };
+                    if let Some(derived) = cache.derive(&base, &spec) {
+                        assert_bit_identical(&derived, &fresh);
+                    }
+                }
+                match cache.side_for(&spec, &[1.0, 1.0]) {
+                    Ok(side) => assert_bit_identical(&side.quant, &fresh),
+                    Err(EmdError::EmptyInput) => prop_assert_eq!(fresh.total, 0.0),
+                    // An overflowing axis width puts cell centres at ±inf.
+                    Err(e) => prop_assert!(
+                        fresh.pairs.iter().flat_map(|(c, _)| c).any(|x| !x.is_finite()),
+                        "{e}"
+                    ),
+                }
+                previous = Some(spec);
+            }
+        }
+    }
+
+    #[test]
+    fn derived_miss_moves_only_the_rows_across_an_edge() {
+        let rows: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64, (i % 7) as f64]).collect();
+        let cache = SignatureCache::new(rows.clone());
+        let grid = |hi: f64| {
+            GridSpec::new(vec![
+                HistogramSpec::new(0.0, hi, 4),
+                HistogramSpec::new(0.0, 7.0, 4),
+            ])
+        };
+        assert!(cache.column_rows.get().is_none());
+        let first = cache.side_for(&grid(40.0), &[1.0, 1.0]).unwrap();
+        // The first miss has no base side, so it builds no argsort.
+        assert!(cache.column_rows.get().is_none());
+        let second = cache.side_for(&grid(41.0), &[1.0, 1.0]).unwrap();
+        assert!(cache.column_rows.get().is_some());
+        assert_bit_identical(&second.quant, &quantize(&grid(41.0), &rows));
+        assert_ne!(first.quant.counts, second.quant.counts);
+        assert_eq!(cache.memoized(), 2);
+    }
 
     #[test]
     fn valid_signature() {
