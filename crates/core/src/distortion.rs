@@ -18,8 +18,10 @@ pub enum DistortionMetric {
     /// Earth Mover's Distance between grid-quantized tuple clouds (the
     /// paper's choice, §3.5), each axis divided by its grid range.
     ///
-    /// Every score is an exact transportation-simplex solve. One solve's
-    /// occupied-cell product (dirty cells × cleaned cells) is capped at
+    /// Every score is an exact transportation-simplex solve over the
+    /// cells where the two histograms differ. One solve's residual-cell
+    /// product (cells the dirty cloud holds more mass in × cells it holds
+    /// less in) is capped at
     /// 150 000, which bounds its memory; a score past the cap fails with
     /// [`FrameworkError::Distortion`] naming the product, and fewer `bins`
     /// bring it back under the cap.
@@ -54,7 +56,7 @@ impl DistortionMetric {
     /// The paper's default: EMD over a 6-per-axis grid with normalized
     /// axis scaling.
     ///
-    /// Six bins per axis keeps every occupied-cell product under the
+    /// Six bins per axis keeps every residual-cell product under the
     /// exact-solve cap for up to three attributes (≤ 216² = 46 656 pairs
     /// against the cap of 150 000), so no replication score fails on it.
     pub fn paper_default() -> Self {

@@ -609,17 +609,23 @@ mod tests {
 
     #[test]
     fn emd_past_the_exact_cap_is_a_distortion_error_on_both_paths() {
-        // A 20×20 lattice lands in 400 distinct cells of a 200-bin grid,
-        // so one solve would need 400 × 400 = 160 000 cells, past the
+        // A 20×20 lattice and its copy shifted 20 along x land in 400
+        // distinct cells each of a 200-bin grid, none shared, so the
+        // residual solve would need 400 × 400 = 160 000 cells, past the
         // 150 000 cap.
         let lattice: Vec<Vec<f64>> = (0..400)
             .map(|i| vec![(i % 20) as f64, (i / 20) as f64])
             .collect();
+        let shifted: Vec<(usize, Vec<f64>)> = lattice
+            .iter()
+            .enumerate()
+            .map(|(i, row)| (i, vec![row[0] + 20.0, row[1]]))
+            .collect();
         let kernel = DistortionMetric::Emd { bins: 200 }.kernel();
         let cache = SignatureCache::new(lattice.clone());
-        let patched = PatchedCloud::new(&cache, vec![]);
+        let patched = PatchedCloud::new(&cache, shifted);
         for result in [
-            kernel.score_rows(&lattice, &lattice),
+            kernel.score_rows(&lattice, &patched.materialize()),
             kernel.prepare(&cache).score_patch(&patched),
         ] {
             assert!(

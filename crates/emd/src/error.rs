@@ -44,12 +44,13 @@ pub enum EmdError {
         /// The entering cell id `i * m + j`.
         entering: usize,
     },
-    /// The occupied-cell product of a grid solve exceeds the exact-solve
+    /// The residual-cell product of a grid solve exceeds the exact-solve
     /// cap, which bounds the memory of one solve's cost and flow matrices.
     /// Fewer bins per axis shrink the product.
     TooManyCells {
-        /// The product `|a| · |b|` of the two signatures' occupied cells
-        /// (saturated at `usize::MAX`).
+        /// The product `|p| · |q|` of the cells where the first signature
+        /// holds more mass than the second and the cells where it holds
+        /// less (saturated at `usize::MAX`).
         cells: usize,
         /// The cap it exceeds.
         cap: usize,
@@ -84,7 +85,7 @@ impl fmt::Display for EmdError {
             ),
             EmdError::TooManyCells { cells, cap } => write!(
                 f,
-                "occupied-cell product {cells} exceeds the exact-solve cap {cap}; \
+                "residual-cell product {cells} exceeds the exact-solve cap {cap}; \
                  use fewer bins per axis"
             ),
         }

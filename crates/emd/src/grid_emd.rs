@@ -1,13 +1,15 @@
 use crate::grid_pair::{Cover, GridPair};
 use crate::signature::PatchedCloud;
 use crate::{EmdError, Result, Signature};
+use std::cmp::Ordering;
 
-/// Cap on the occupied-cell product `|a| · |b|` of one exact solve. The
-/// solve holds an `8·|a|·|b|`-byte cost matrix and a flow matrix of the
-/// same shape, so the cap bounds its memory at ≈ 2.4 MB (roughly 380×380
-/// occupied cells). Past it, [`GridEmd`] returns
-/// [`EmdError::TooManyCells`]; lowering the bins per axis shrinks the
-/// product.
+/// Cap on the residual-cell product `|p| · |q|` of one exact solve (the
+/// cells where one signature holds more mass than the other, times the
+/// cells where it holds less). The solve holds an `8·|p|·|q|`-byte cost
+/// matrix and a flow matrix of the same shape, so the cap bounds its memory
+/// at ≈ 2.4 MB (roughly 380×380 residual cells). Past it, [`GridEmd`]
+/// returns [`EmdError::TooManyCells`]; lowering the bins per axis shrinks
+/// the product.
 const MAX_EXACT_CELLS: usize = 150_000;
 
 /// End-to-end multidimensional EMD between two point clouds.
@@ -16,7 +18,7 @@ const MAX_EXACT_CELLS: usize = 150_000;
 /// measure: pool the `v`-tuples of the dirty and cleaned data sets,
 /// quantize both onto one shared grid (so both distributions share a
 /// support, as Definition 1 requires), and solve the transportation problem
-/// between the occupied cells exactly. The grid spans `median ± 5·IQR` of
+/// between the cells where the two histograms differ exactly. The grid spans `median ± 5·IQR` of
 /// the union on every axis ([`Cover::Robust`]), and ground distances divide
 /// each axis by its grid range, since telemetry KPIs span wildly different
 /// magnitudes. The quantization diagnostics (occupied cells, skipped rows)
@@ -35,8 +37,9 @@ impl GridEmd {
 
     /// EMD between two clouds of equal-dimension points (rows). Rows with
     /// any missing (NaN) coordinate are excluded from the density. Errors
-    /// with [`EmdError::TooManyCells`] when the occupied-cell product
-    /// exceeds the exact-solve cap of 150 000.
+    /// with [`EmdError::TooManyCells`] when the residual-cell product
+    /// (cells where the dirty histogram holds more mass, times cells where
+    /// it holds less) exceeds the exact-solve cap of 150 000.
     pub fn distance(&self, a: &[Vec<f64>], b: &[Vec<f64>]) -> Result<f64> {
         GridPair::rows(a, b, self.bins_per_axis, Cover::Robust)?
             .with_signatures(solve_signatures)?
@@ -79,30 +82,198 @@ impl GridEmd {
 }
 
 /// The pipeline's back half: the exact EMD between the pair's two
-/// signatures, on this thread's shared cold arena — pure allocation reuse,
-/// bit-identical to a standalone [`crate::TransportProblem`] solve. The cap
-/// is checked before the cost matrix is allocated.
+/// signatures, solved on their residual mass only.
+///
+/// Both signatures sit on one grid with one scale, in ascending cell order,
+/// so a cell both occupy has bit-equal centres in both. The ground distance
+/// is a metric, so W1 depends only on `wa − wb` (Kantorovich–Rubinstein
+/// duality): mass both hold in one cell stays there at zero cost. The solve
+/// ships `p = (wa − wb)⁺` to `q = (wb − wa)⁺` on this thread's cold arena
+/// and scales the result back by `Σp / Σwa`; when either part is empty the
+/// distance is exactly 0. `q` is rescaled to `Σp` before the solve, so
+/// rounding in the differences can never make the residual problem
+/// unbalanced. The cap applies to `|p| · |q|` and is checked before the
+/// cost matrix is allocated.
 fn solve_signatures(sig_a: &Signature, sig_b: &Signature) -> Result<f64> {
-    let cells = sig_a.len().saturating_mul(sig_b.len());
+    let wa = sig_a.normalized_weights();
+    let wb = sig_b.normalized_weights();
+    let (pa, pb) = (sig_a.points(), sig_b.points());
+    let (mut p_points, mut p): (Vec<&[f64]>, Vec<f64>) = (Vec::new(), Vec::new());
+    let (mut q_points, mut q): (Vec<&[f64]>, Vec<f64>) = (Vec::new(), Vec::new());
+    let (mut i, mut j) = (0, 0);
+    while i < pa.len() || j < pb.len() {
+        let order = match (pa.get(i), pb.get(j)) {
+            (Some(x), Some(y)) => cell_order(x, y),
+            (Some(_), None) => Ordering::Less,
+            _ => Ordering::Greater,
+        };
+        match order {
+            Ordering::Less => {
+                p_points.push(&pa[i]);
+                p.push(wa[i]);
+                i += 1;
+            }
+            Ordering::Greater => {
+                q_points.push(&pb[j]);
+                q.push(wb[j]);
+                j += 1;
+            }
+            Ordering::Equal => {
+                let excess = wa[i] - wb[j];
+                if excess > 0.0 {
+                    p_points.push(&pa[i]);
+                    p.push(excess);
+                } else if excess < 0.0 {
+                    q_points.push(&pb[j]);
+                    q.push(-excess);
+                }
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    if p.is_empty() || q.is_empty() {
+        return Ok(0.0);
+    }
+    let cells = p.len().saturating_mul(q.len());
     if cells > MAX_EXACT_CELLS {
         return Err(EmdError::TooManyCells {
             cells,
             cap: MAX_EXACT_CELLS,
         });
     }
-    let wa = sig_a.normalized_weights();
-    let wb = sig_b.normalized_weights();
-    let cost = crate::ground_distance_matrix(sig_a.points(), sig_b.points());
-    crate::batch::with_cold_arena(|arena| arena.solve(&wa, &wb, &cost))
+    let p_mass: f64 = p.iter().sum();
+    let balance = p_mass / q.iter().sum::<f64>();
+    q.iter_mut().for_each(|x| *x *= balance);
+    let cost = crate::ground_distance_matrix(&p_points, &q_points);
+    let residual = crate::batch::with_cold_arena(|arena| arena.solve(&p, &q, &cost))?;
+    Ok(residual * p_mass / wa.iter().sum::<f64>())
+}
+
+/// Ascending cell order of two cell centres on one grid: lexicographic by
+/// [`f64::total_cmp`]. A centre is monotone in its cell index on every
+/// axis, so this is the signatures' own order.
+fn cell_order(x: &[f64], y: &[f64]) -> Ordering {
+    x.iter()
+        .zip(y)
+        .map(|(a, b)| a.total_cmp(b))
+        .find(|o| o.is_ne())
+        .unwrap_or(Ordering::Equal)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::SignatureCache;
+    use proptest::prelude::*;
+
+    /// The full-support solve the residual solve replaced: every occupied
+    /// cell of both signatures, unit masses. The oracle of the residual
+    /// proptest.
+    fn solve_full_support(sig_a: &Signature, sig_b: &Signature) -> Result<f64> {
+        let wa = sig_a.normalized_weights();
+        let wb = sig_b.normalized_weights();
+        let cost = crate::ground_distance_matrix(sig_a.points(), sig_b.points());
+        crate::TransportProblem::new(wa, wb, cost)?.solve()
+    }
 
     fn cloud(points: &[(f64, f64)]) -> Vec<Vec<f64>> {
         points.iter().map(|&(x, y)| vec![x, y]).collect()
+    }
+
+    /// A signature on a 4×4 lattice of normalized cell centres, from
+    /// `(cell, mass)` pairs (repeated cells add up), in ascending cell
+    /// order like a [`GridPair`]'s signatures.
+    fn lattice(cells: &[(usize, f64)]) -> Option<Signature> {
+        let mut masses = std::collections::BTreeMap::new();
+        for &(cell, mass) in cells {
+            *masses.entry(cell % 16).or_insert(0.0) += mass;
+        }
+        let pairs = masses
+            .into_iter()
+            .filter(|&(_, mass)| mass > 0.0)
+            .map(|(cell, mass)| (vec![(cell / 4) as f64 / 3.0, (cell % 4) as f64 / 3.0], mass))
+            .collect();
+        Signature::from_pairs(pairs).ok()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The residual solve equals the full-support solve and the
+        /// independent min-cost-flow solver within `1e-12·(1 + |full|)`,
+        /// and never fails where the full solve succeeds. `mode` shapes
+        /// the second cloud: 0 independent, 1 identical (exactly 0),
+        /// 2 disjoint supports, 3 the first plus extra mass (unequal
+        /// totals, as imputation leaves them), 4 the first at ×1000 with
+        /// one unit moved (near-equal weights), 5 fractional masses.
+        #[test]
+        fn residual_solve_matches_the_full_support_solve(
+            a_cells in prop::collection::vec((0usize..16, 1u8..5), 1..20),
+            b_cells in prop::collection::vec((0usize..16, 1u8..5), 1..20),
+            fractions in prop::collection::vec(0.0f64..1.0, 20..21),
+            mode in 0u8..6,
+        ) {
+            let a_pairs: Vec<(usize, f64)> =
+                a_cells.iter().map(|&(c, m)| (c, f64::from(m))).collect();
+            let b_pairs: Vec<(usize, f64)> = match mode {
+                1 => a_pairs.clone(),
+                2 => {
+                    let a_max = a_pairs.iter().map(|&(c, _)| c).max().unwrap_or(0);
+                    let room = 15 - a_max;
+                    if room == 0 {
+                        return;
+                    }
+                    b_cells.iter().map(|&(c, m)| (a_max + 1 + c % room, f64::from(m))).collect()
+                }
+                3 => a_pairs
+                    .iter()
+                    .copied()
+                    .chain(b_cells.iter().take(3).map(|&(c, m)| (c, f64::from(m))))
+                    .collect(),
+                4 => {
+                    let mut scaled: Vec<(usize, f64)> =
+                        a_pairs.iter().map(|&(c, m)| (c, 1000.0 * m)).collect();
+                    scaled[0].1 -= 1.0;
+                    scaled.push((b_cells[0].0, 1.0));
+                    scaled
+                }
+                5 => b_cells.iter().zip(&fractions).map(|(&(c, _), &f)| (c, 0.01 + f)).collect(),
+                _ => b_cells.iter().map(|&(c, m)| (c, f64::from(m))).collect(),
+            };
+            let (Some(a), Some(b)) = (lattice(&a_pairs), lattice(&b_pairs)) else {
+                return;
+            };
+            let full = solve_full_support(&a, &b).unwrap();
+            let residual = solve_signatures(&a, &b).unwrap();
+            let tol = 1e-12 * (1.0 + full.abs());
+            prop_assert!((residual - full).abs() <= tol, "residual {residual} vs full {full}");
+            let flow = crate::MinCostFlow::new(
+                a.normalized_weights(),
+                b.normalized_weights(),
+                crate::ground_distance_matrix(a.points(), b.points()),
+            )
+            .unwrap()
+            .solve()
+            .unwrap();
+            prop_assert!((residual - flow).abs() <= tol, "residual {residual} vs flow {flow}");
+            prop_assert!(residual >= 0.0);
+            if mode == 1 {
+                prop_assert_eq!(residual.to_bits(), 0.0f64.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn residual_cells_are_the_only_ones_solved() {
+        // Three shared cells at equal mass and one unit moved between two
+        // others: the residual problem is 1×1, whatever the cap.
+        let a = lattice(&[(0, 3.0), (5, 3.0), (10, 3.0), (1, 1.0)]).unwrap();
+        let b = lattice(&[(0, 3.0), (5, 3.0), (10, 3.0), (2, 1.0)]).unwrap();
+        let d = solve_signatures(&a, &b).unwrap();
+        // One tenth of the mass moves one lattice step (1/3).
+        assert!((d - 0.1 / 3.0).abs() < 1e-15, "{d}");
+        assert!((d - solve_full_support(&a, &b).unwrap()).abs() < 1e-15);
     }
 
     #[test]
@@ -122,10 +293,11 @@ mod tests {
         assert_eq!(solve_signatures(&a, &b).unwrap(), 5.0);
     }
 
-    /// One point at the origin against `len` unit-mass points on the
-    /// x axis at `0, 1, …, len − 1`.
+    /// One point at `(−1, 0)` against `len` unit-mass points on the x axis
+    /// at `0, 1, …, len − 1`: no shared cell, so the residual-cell product
+    /// is `len`.
     fn fan(len: usize) -> (Signature, Signature) {
-        let hub = Signature::new(vec![vec![0.0, 0.0]], vec![1.0]).unwrap();
+        let hub = Signature::new(vec![vec![-1.0, 0.0]], vec![1.0]).unwrap();
         let spokes = Signature::new(
             (0..len).map(|i| vec![i as f64, 0.0]).collect(),
             vec![1.0; len],
@@ -139,7 +311,7 @@ mod tests {
         let (hub, spokes) = fan(MAX_EXACT_CELLS);
         let d = solve_signatures(&hub, &spokes).unwrap();
         // The hub ships 1/len to every spoke: the mean spoke distance.
-        let expected = (MAX_EXACT_CELLS - 1) as f64 / 2.0;
+        let expected = (MAX_EXACT_CELLS + 1) as f64 / 2.0;
         assert!((d - expected).abs() < 1e-6 * expected, "{d} vs {expected}");
     }
 

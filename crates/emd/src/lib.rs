@@ -20,9 +20,11 @@
 //!   a [`SignatureCache`] plus [`PatchedCloud`] row edits, bit-identically;
 //! * [`GridEmd`] — the end-to-end pipeline the framework calls: a robust
 //!   [`GridPair`], then the exact transportation simplex on the sparse
-//!   signatures (the approach of the paper's reference \[1\]). One solve's
-//!   occupied-cell product is capped at 150 000, which bounds its memory;
-//!   past the cap it returns [`EmdError::TooManyCells`].
+//!   signatures (the approach of the paper's reference \[1\]), restricted
+//!   to the residual mass `wa − wb` (mass both hold in one cell stays at
+//!   zero cost). One solve's residual-cell product is capped at 150 000,
+//!   which bounds its memory; past the cap it returns
+//!   [`EmdError::TooManyCells`].
 //!
 //! ```
 //! use sd_emd::emd_1d_samples;

@@ -676,21 +676,21 @@ pub fn euclidean(a: &[f64], b: &[f64]) -> f64 {
 /// squared differences in ascending axis order, exactly like
 /// [`euclidean`], so the matrix is bit-identical to the nested-`Vec`
 /// formulation.
-pub fn ground_distance_matrix(p: &[Vec<f64>], q: &[Vec<f64>]) -> Vec<f64> {
+pub fn ground_distance_matrix<P: AsRef<[f64]>, Q: AsRef<[f64]>>(p: &[P], q: &[Q]) -> Vec<f64> {
     let m = q.len();
-    let dim = q.first().map_or(0, |r| r.len());
+    let dim = q.first().map_or(0, |r| r.as_ref().len());
     if m == 0 || p.is_empty() || dim == 0 {
         return vec![0.0; p.len() * m];
     }
     let mut qflat = Vec::with_capacity(m * dim);
     for qj in q {
-        qflat.extend_from_slice(qj);
+        qflat.extend_from_slice(qj.as_ref());
     }
     let mut cost = vec![0.0f64; p.len() * m];
     for (pi, row) in p.iter().zip(cost.chunks_mut(m)) {
         for (c, qj) in row.iter_mut().zip(qflat.chunks_exact(dim)) {
             let mut acc = 0.0;
-            for (x, y) in pi.iter().zip(qj) {
+            for (x, y) in pi.as_ref().iter().zip(qj) {
                 acc += (x - y) * (x - y);
             }
             *c = acc.sqrt();
