@@ -193,6 +193,42 @@ mod tests {
     const ID: [AttributeTransform; 2] =
         [AttributeTransform::Identity, AttributeTransform::Identity];
 
+    /// One infinite KPI cell makes the KL kernel's min–max cover infinite:
+    /// a structured distortion error on the rows path and on the engine's
+    /// patched path, never a panic.
+    #[test]
+    fn kl_over_an_infinite_cell_is_a_distortion_error() {
+        let mut dirty = sd_netsim::generate(&sd_netsim::NetsimConfig::small(5)).dataset;
+        dirty.series_mut()[3].set(1, 7, f64::INFINITY);
+        let mut cleaned = dirty.clone();
+        cleaned.series_mut()[0].set(0, 0, 1.0);
+        let transforms = vec![AttributeTransform::Identity; dirty.num_attributes()];
+        let kl = DistortionMetric::KlDivergence { bins: 6 };
+        let rows =
+            std::panic::catch_unwind(|| statistical_distortion(&dirty, &cleaned, &transforms, kl));
+        assert!(
+            matches!(&rows, Ok(Err(FrameworkError::Distortion(m))) if m.contains("not finite")),
+            "{rows:?}"
+        );
+        let working = pooled_working_rows(&dirty, &transforms).unwrap();
+        let cache = sd_emd::SignatureCache::new(working);
+        let patched =
+            sd_emd::PatchedCloud::new(&cache, vec![(0, vec![1.0; dirty.num_attributes()])]);
+        let patch = std::panic::catch_unwind(|| kl.kernel().prepare(&cache).score_patch(&patched));
+        assert!(
+            matches!(&patch, Ok(Err(FrameworkError::Distortion(m))) if m.contains("not finite")),
+            "{patch:?}"
+        );
+        // The robust EMD cover keeps the infinite cell in an edge bin.
+        let emd = statistical_distortion(
+            &dirty,
+            &cleaned,
+            &transforms,
+            DistortionMetric::paper_default(),
+        );
+        assert!(emd.is_ok_and(f64::is_finite));
+    }
+
     #[test]
     fn identical_datasets_have_near_zero_distortion() {
         let d = dataset(0.0);

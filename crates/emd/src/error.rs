@@ -55,6 +55,9 @@ pub enum EmdError {
         /// The cap it exceeds.
         cap: usize,
     },
+    /// A grid cover's range on some axis is not finite: an infinite value
+    /// is an extreme of the min–max cover, or a quartile of the robust one.
+    NonFiniteCover,
 }
 
 impl fmt::Display for EmdError {
@@ -87,6 +90,10 @@ impl fmt::Display for EmdError {
                 f,
                 "residual-cell product {cells} exceeds the exact-solve cap {cap}; \
                  use fewer bins per axis"
+            ),
+            EmdError::NonFiniteCover => write!(
+                f,
+                "grid cover range is not finite (an infinite value sets an axis extreme or quartile)"
             ),
         }
     }

@@ -21,12 +21,14 @@ pub enum Cover {
 impl Cover {
     /// The grid over one [`RankedColumn`] per axis, each the union of both
     /// clouds' present values on that axis: the one cover rule behind
-    /// [`GridPair::rows`] and [`GridPair::patched`].
-    fn spec<C: RankedColumn>(self, columns: &[C], bins: usize) -> GridSpec {
+    /// [`GridPair::rows`] and [`GridPair::patched`]. Errors with
+    /// [`EmdError::NonFiniteCover`] when an axis's range is not finite.
+    fn spec<C: RankedColumn>(self, columns: &[C], bins: usize) -> Result<GridSpec> {
         match self {
             Cover::MinMax => GridSpec::from_ranked_columns_min_max(columns, bins),
             Cover::Robust => GridSpec::from_ranked_columns_robust(columns, bins, ROBUST_Z),
         }
+        .ok_or(EmdError::NonFiniteCover)
     }
 }
 
@@ -61,7 +63,9 @@ impl GridPair {
     /// Quantizes two materialized clouds onto their shared grid. Rows with
     /// a missing (NaN) coordinate carry no density and are counted as
     /// skipped. Errors with [`EmdError::EmptyInput`] when either cloud has
-    /// no complete row.
+    /// no complete row, and with [`EmdError::NonFiniteCover`] when an
+    /// infinite value makes an axis's cover range infinite (any ±inf under
+    /// [`Cover::MinMax`]; an infinite quartile under [`Cover::Robust`]).
     pub fn rows(
         dirty: &[Vec<f64>],
         cleaned: &[Vec<f64>],
@@ -70,7 +74,7 @@ impl GridPair {
     ) -> Result<Self> {
         let columns = sorted_union_columns(dirty, cleaned).ok_or(EmdError::EmptyInput)?;
         let columns: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
-        let spec = cover.spec(&columns, bins);
+        let spec = cover.spec(&columns, bins)?;
         let quant = quantize(&spec, dirty);
         if quant.total == 0.0 {
             return Err(EmdError::EmptyInput);
@@ -97,7 +101,7 @@ impl GridPair {
             .zip(patched.edit_columns())
             .map(|(column, edit)| EditedUnion::new(column, &edit.removed, &edit.added))
             .collect();
-        let spec = cover.spec(&unions, bins);
+        let spec = cover.spec(&unions, bins)?;
         let side = cache.side_for(&spec, &normalized_scale(&spec))?;
         let cleaned = patched.quantize_on(&spec, &side.quant);
         Self::finish(DirtySide::Cached(side), cleaned)
@@ -186,6 +190,35 @@ mod tests {
     /// Bounds as bits, so `-0.0` and `0.0` stay distinct.
     fn bits(range: Option<(f64, f64)>) -> Option<(u64, u64)> {
         range.map(|(lo, hi)| (lo.to_bits(), hi.to_bits()))
+    }
+
+    #[test]
+    fn a_non_finite_cover_is_an_error_on_both_paths() {
+        let rows: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64, (i % 3) as f64]).collect();
+        let cache = SignatureCache::new(rows.clone());
+        let patched = PatchedCloud::new(&cache, vec![(4, vec![f64::INFINITY, 1.0])]);
+        let cleaned = patched.materialize();
+        for (cover, expected) in [
+            (Cover::MinMax, Some(EmdError::NonFiniteCover)),
+            // One infinite value leaves the quartiles finite: it piles
+            // into the robust cover's edge bin.
+            (Cover::Robust, None),
+        ] {
+            assert_eq!(GridPair::rows(&rows, &cleaned, 4, cover).err(), expected);
+            assert_eq!(GridPair::patched(&patched, 4, cover).err(), expected);
+        }
+        // Infinite quartiles break the robust cover too.
+        let half: Vec<(usize, Vec<f64>)> =
+            (0..20).map(|i| (i, vec![f64::NEG_INFINITY, 0.0])).collect();
+        let patched = PatchedCloud::new(&cache, half);
+        assert_eq!(
+            GridPair::rows(&rows, &patched.materialize(), 4, Cover::Robust).err(),
+            Some(EmdError::NonFiniteCover)
+        );
+        assert_eq!(
+            GridPair::patched(&patched, 4, Cover::Robust).err(),
+            Some(EmdError::NonFiniteCover)
+        );
     }
 
     proptest! {

@@ -25,11 +25,11 @@ impl GridSpec {
     /// clouds, with `bins` bins per axis. Points are rows; all rows must
     /// have equal length. Axes where *neither* cloud has a present value
     /// get a degenerate (widened) spec. Returns `None` when the clouds are
-    /// empty.
+    /// empty or an axis holds an infinite value.
     pub fn covering(a: &[Vec<f64>], b: &[Vec<f64>], bins: usize) -> Option<Self> {
         let columns = sorted_union_columns(a, b)?;
         let columns: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
-        Some(Self::from_ranked_columns_min_max(&columns, bins))
+        Self::from_ranked_columns_min_max(&columns, bins)
     }
 
     /// Min–max cover with one axis per [`RankedColumn`] (the union of
@@ -37,7 +37,11 @@ impl GridSpec {
     /// an [`crate::EditedUnion`] of a cached column and its edited copy).
     /// The extremes are read by rank, so an edited union is never
     /// materialized. Empty columns get a degenerate (widened) axis.
-    pub fn from_ranked_columns_min_max<C: RankedColumn>(columns: &[C], bins: usize) -> Self {
+    /// `None` when an axis's range is not finite (it holds ±inf).
+    pub fn from_ranked_columns_min_max<C: RankedColumn>(
+        columns: &[C],
+        bins: usize,
+    ) -> Option<Self> {
         Self::from_axis_ranges(columns, bins, min_max_range)
     }
 
@@ -52,32 +56,35 @@ impl GridSpec {
     /// edge bins at a *bounded but large* ground distance — exactly the
     /// "mass moved into low-likelihood regions" signal the statistical-
     /// distortion metric must see. Degenerate axes (IQR = 0) fall back to
-    /// the min–max cover.
+    /// the min–max cover. `None` when an axis's range is not finite (an
+    /// infinite quartile, an IQR that overflows, or ±inf under the min–max
+    /// fallback).
     pub fn from_ranked_columns_robust<C: RankedColumn>(
         columns: &[C],
         bins: usize,
         z_range: f64,
-    ) -> Self {
+    ) -> Option<Self> {
         assert!(z_range > 0.0, "z_range must be positive");
         Self::from_axis_ranges(columns, bins, |column| robust_range(column, z_range))
     }
 
     /// One axis per column, spanning `range` of the column; an empty
-    /// column (no range) gets a degenerate (widened) axis.
+    /// column (no range) gets a degenerate (widened) axis. `None` when a
+    /// range is not finite.
     fn from_axis_ranges<C: RankedColumn>(
         columns: &[C],
         bins: usize,
         range: impl Fn(&C) -> Option<(f64, f64)>,
-    ) -> Self {
+    ) -> Option<Self> {
         assert!(!columns.is_empty(), "grid needs at least one axis");
         let axes = columns
             .iter()
             .map(|column| {
                 let (lo, hi) = range(column).unwrap_or((0.0, 0.0));
-                HistogramSpec::new(lo, hi, bins)
+                (lo.is_finite() && hi.is_finite()).then(|| HistogramSpec::new(lo, hi, bins))
             })
-            .collect();
-        GridSpec { axes }
+            .collect::<Option<_>>()?;
+        Some(GridSpec { axes })
     }
 
     /// Number of dimensions.
@@ -285,6 +292,20 @@ mod tests {
         assert_eq!(g.axes()[1].lo, -10.0);
         assert_eq!(g.axes()[1].hi, 10.0);
         assert!(GridSpec::covering(&[], &[], 4).is_none());
+    }
+
+    #[test]
+    fn non_finite_ranges_give_no_grid() {
+        let inf = vec![vec![1.0, f64::INFINITY], vec![2.0, 0.0]];
+        assert!(GridSpec::covering(&inf, &[], 3).is_none());
+        // Infinite quartiles make the robust range infinite or NaN.
+        let column = [f64::NEG_INFINITY, f64::NEG_INFINITY, 0.0, f64::INFINITY];
+        assert!(GridSpec::from_ranked_columns_robust(&[&column[..]], 3, 5.0).is_none());
+        // One infinite extreme leaves the quartiles, and the robust cover,
+        // finite.
+        let column = [0.0, 1.0, 2.0, 3.0, f64::INFINITY];
+        assert!(GridSpec::from_ranked_columns_robust(&[&column[..]], 3, 5.0).is_some());
+        assert!(GridSpec::from_ranked_columns_min_max(&[&column[..]], 3).is_none());
     }
 
     #[test]
