@@ -277,10 +277,12 @@ pub(crate) struct CachedSide {
 /// A miss on a dense grid is **derived** from the most recently memoized
 /// side with the same bins per axis: a patch moves the cover only
 /// slightly, so only the rows between an old and a new bin edge change
-/// cell. `bin_of` is monotone in `x`, so each edge is a binary search in
-/// the sorted column, and a per-axis argsort (built on the first derived
-/// miss, so a cache scored once never sorts) names the rows in between.
-/// Only those rows move their unit count. Counts are exact integers and the
+/// cell. `bin_of` is monotone in `x`, so each edge's old and new position
+/// is a binary search in the sorted column, and the values in between form
+/// one narrow range per moved edge. One branch-free comparison pass over
+/// each axis's values in row order (copied on the first derived miss, so a
+/// cache scored once copies nothing) finds the rows inside those ranges,
+/// and only they move their unit count. Counts are exact integers and the
 /// total and skipped rows do not depend on the grid, so a derived side is
 /// bit-identical to quantizing all rows afresh. Sparse grids, a changed
 /// bin count and a degenerate axis re-bin every row.
@@ -293,9 +295,9 @@ pub(crate) struct CachedSide {
 pub struct SignatureCache {
     rows: Vec<Vec<f64>>,
     sorted_columns: Vec<Vec<f64>>,
-    /// Per axis, the row of each `sorted_columns` entry (an argsort), built
-    /// on the first derived miss.
-    column_rows: OnceLock<Vec<Vec<u32>>>,
+    /// Per axis, the cloud's values in row order (NaN included), copied on
+    /// the first derived miss so its crossing scan reads contiguous memory.
+    row_columns: OnceLock<Vec<Vec<f64>>>,
     memo: Mutex<Vec<Arc<CachedSide>>>,
 }
 
@@ -308,7 +310,7 @@ impl SignatureCache {
         SignatureCache {
             rows,
             sorted_columns,
-            column_rows: OnceLock::new(),
+            row_columns: OnceLock::new(),
             memo: Mutex::new(Vec::new()),
         }
     }
@@ -385,23 +387,45 @@ impl SignatureCache {
         if !base.spec.axes().iter().chain(spec.axes()).all(regular) {
             return None;
         }
-        let column_rows = self.column_rows.get_or_init(|| argsort_columns(&self.rows));
+        let row_columns = self.row_columns.get_or_init(|| {
+            let dim = self.sorted_columns.len();
+            (0..dim)
+                .map(|k| self.rows.iter().map(|row| row[k]).collect())
+                .collect()
+        });
         let mut moved: Vec<u32> = Vec::new();
-        for (((old, new), column), rows) in base
+        for (((old, new), sorted), column) in base
             .spec
             .axes()
             .iter()
             .zip(spec.axes())
             .zip(&self.sorted_columns)
-            .zip(column_rows)
+            .zip(row_columns)
         {
-            // `bin_of` is monotone in `x`, so the values below each edge
-            // form a prefix of the sorted column under either grid; the
-            // rows between the two prefix ends are the ones that cross it.
-            for edge in 1..new.bins {
-                let a = column.partition_point(|&x| old.bin_of(x) < Some(edge));
-                let b = column.partition_point(|&x| new.bin_of(x) < Some(edge));
-                moved.extend_from_slice(&rows[a.min(b)..a.max(b)]);
+            // `bin_of` is monotone in `x`, so the values below an edge are a
+            // prefix of the sorted column under either grid, and the values
+            // between the two prefix ends change bin. Equal values share a
+            // bin, so a range never splits a run of ties.
+            let ranges: Vec<(f64, f64)> = (1..new.bins)
+                .filter_map(|edge| {
+                    let a = sorted.partition_point(|&x| old.bin_of(x) < Some(edge));
+                    let b = sorted.partition_point(|&x| new.bin_of(x) < Some(edge));
+                    (a != b).then(|| (sorted[a.min(b)], sorted[a.max(b) - 1]))
+                })
+                .collect();
+            if ranges.is_empty() {
+                continue;
+            }
+            for (row, &x) in (0u32..).zip(column) {
+                // NaN matches no range. `<=` equates `-0.0` and `0.0`,
+                // which always share a bin, so it finds the same rows.
+                let mut crosses = false;
+                for &(lo, hi) in &ranges {
+                    crosses |= (lo <= x) & (x <= hi);
+                }
+                if crosses {
+                    moved.push(row);
+                }
             }
         }
         moved.sort_unstable();
@@ -429,23 +453,6 @@ impl SignatureCache {
 /// histogram on one has the other's flat layout).
 fn same_shape(a: &GridSpec, b: &GridSpec) -> bool {
     a.dim() == b.dim() && a.axes().iter().zip(b.axes()).all(|(x, y)| x.bins == y.bins)
-}
-
-/// Per axis, the rows of the cloud's present values in ascending
-/// [`f64::total_cmp`] order: row `r[k][i]` holds the `i`-th value of the
-/// axis's sorted column (values equal under `total_cmp` are bit-equal, so
-/// any order among ties names the same values).
-fn argsort_columns(rows: &[Vec<f64>]) -> Vec<Vec<u32>> {
-    let dim = rows.first().map_or(0, Vec::len);
-    (0..dim)
-        .map(|k| {
-            let mut order: Vec<u32> = (0..rows.len() as u32)
-                .filter(|&r| !rows[r as usize][k].is_nan())
-                .collect();
-            order.sort_unstable_by(|&a, &b| rows[a as usize][k].total_cmp(&rows[b as usize][k]));
-            order
-        })
-        .collect()
 }
 
 /// A counterpart cloud expressed as sparse row edits against a
@@ -776,8 +783,14 @@ mod tests {
                         quant: quantize(old, &rows),
                         signature: Signature::new(vec![vec![0.0, 0.0]], vec![1.0]).unwrap(),
                     };
-                    if let Some(derived) = cache.derive(&base, &spec) {
-                        assert_bit_identical(&derived, &fresh);
+                    // Only an axis without a finite positive bin width
+                    // falls back to a full quantize.
+                    let regular = old.axes().iter().chain(spec.axes()).all(|ax| {
+                        ax.width().is_finite() && ax.width() > 0.0
+                    });
+                    match cache.derive(&base, &spec) {
+                        Some(derived) => assert_bit_identical(&derived, &fresh),
+                        None => prop_assert!(!regular),
                     }
                 }
                 match cache.side_for(&spec, &[1.0, 1.0]) {
@@ -804,12 +817,12 @@ mod tests {
                 HistogramSpec::new(0.0, 7.0, 4),
             ])
         };
-        assert!(cache.column_rows.get().is_none());
+        assert!(cache.row_columns.get().is_none());
         let first = cache.side_for(&grid(40.0), &[1.0, 1.0]).unwrap();
-        // The first miss has no base side, so it builds no argsort.
-        assert!(cache.column_rows.get().is_none());
+        // The first miss has no base side, so it copies no columns.
+        assert!(cache.row_columns.get().is_none());
         let second = cache.side_for(&grid(41.0), &[1.0, 1.0]).unwrap();
-        assert!(cache.column_rows.get().is_some());
+        assert!(cache.row_columns.get().is_some());
         assert_bit_identical(&second.quant, &quantize(&grid(41.0), &rows));
         assert_ne!(first.quant.counts, second.quant.counts);
         assert_eq!(cache.memoized(), 2);
