@@ -165,15 +165,16 @@ fn normalized_scale(spec: &GridSpec) -> Vec<f64> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::SignatureCache;
     use proptest::prelude::*;
     use sd_stats::{min_max_range, robust_range};
 
-    /// A cell value: mostly small integers (so ties are common), with
-    /// ±inf, ±1e300, `-0.0`/`0.0` and NaN mixed in.
-    fn value() -> impl Strategy<Value = f64> {
+    /// A cell value: mostly small integers (so ties, and values on bin
+    /// edges, are common), with ±inf, ±1e300, `-0.0`/`0.0` and NaN mixed
+    /// in.
+    pub(crate) fn value() -> impl Strategy<Value = f64> {
         (0u8..24, -6.0f64..6.0).prop_map(|(tag, x)| match tag {
             0 => f64::INFINITY,
             1 => f64::NEG_INFINITY,
@@ -208,9 +209,9 @@ mod tests {
             assert_eq!(GridPair::patched(&patched, 4, cover).err(), expected);
         }
         // Infinite quartiles break the robust cover too.
-        let half: Vec<(usize, Vec<f64>)> =
+        let to_neg_inf: Vec<(usize, Vec<f64>)> =
             (0..20).map(|i| (i, vec![f64::NEG_INFINITY, 0.0])).collect();
-        let patched = PatchedCloud::new(&cache, half);
+        let patched = PatchedCloud::new(&cache, to_neg_inf);
         assert_eq!(
             GridPair::rows(&rows, &patched.materialize(), 4, Cover::Robust).err(),
             Some(EmdError::NonFiniteCover)

@@ -709,23 +709,8 @@ pub fn ground_distance_matrix<P: AsRef<[f64]>, Q: AsRef<[f64]>>(p: &[P], q: &[Q]
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid_pair::tests::value;
     use proptest::prelude::*;
-
-    /// A cell value: mostly small integers (so ties and values on bin
-    /// edges are common), with ±inf, ±1e300, `-0.0`/`0.0` and NaN mixed in.
-    fn value() -> impl Strategy<Value = f64> {
-        (0u8..24, -6.0f64..6.0).prop_map(|(tag, x)| match tag {
-            0 => f64::INFINITY,
-            1 => f64::NEG_INFINITY,
-            2 => 1e300,
-            3 => -1e300,
-            4 => 0.0,
-            5 => -0.0,
-            6 => f64::NAN,
-            7..=15 => x.round(),
-            _ => x,
-        })
-    }
 
     /// One axis of a grid: mostly a range near the data, sometimes a
     /// degenerate (widened) one, a ±1e300 one, or one whose width
@@ -808,7 +793,7 @@ mod tests {
     }
 
     #[test]
-    fn derived_miss_moves_only_the_rows_across_an_edge() {
+    fn row_columns_are_copied_on_the_first_derived_miss() {
         let rows: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64, (i % 7) as f64]).collect();
         let cache = SignatureCache::new(rows.clone());
         let grid = |hi: f64| {
