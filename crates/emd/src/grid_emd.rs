@@ -413,6 +413,14 @@ mod tests {
             vec![(6, vec![nan, nan, 1.0]), (8, vec![2.0, nan, nan])],
             // Every row of axis 0 edited to NaN: no complete row remains.
             (0..80).map(|r| (r, vec![nan, 1.0, 2.0])).collect(),
+            // Each edit changes one axis of its row and keeps the others.
+            (0..30)
+                .map(|r| {
+                    let mut row = a[r].clone();
+                    row[r % 3] += 0.5;
+                    (r, row)
+                })
+                .collect(),
         ];
         let mut with_gap = a.clone();
         with_gap[5][0] = f64::NAN; // base cloud itself has a gap
@@ -464,7 +472,7 @@ mod tests {
         }
         // Only the all-NaN axis fails (no complete row), on both bases
         // that carry it, at each of the three resolutions.
-        assert_eq!(scored, 3 * (2 * 9 + 3) - 2 * 3);
+        assert_eq!(scored, 3 * (2 * 10 + 3) - 2 * 3);
     }
 
     #[test]

@@ -485,14 +485,14 @@ pub struct PatchedCloud<'a> {
     columns_memo: OnceLock<Vec<Vec<f64>>>,
 }
 
-/// One axis of a patch: the edited rows' old and new present values, each
-/// ascending by [`f64::total_cmp`].
+/// One axis of a patch: the old and new present values of the edited rows
+/// that change this axis, each ascending by [`f64::total_cmp`].
 #[derive(Debug)]
 pub(crate) struct EditColumn {
-    /// The edited rows' old values (NaN-free): a sub-multiset of the
-    /// cached sorted column.
+    /// The changed old values (NaN-free): a sub-multiset of the cached
+    /// sorted column.
     pub(crate) removed: Vec<f64>,
-    /// The edited rows' new values (NaN-free).
+    /// The changed new values (NaN-free).
     pub(crate) added: Vec<f64>,
 }
 
@@ -545,9 +545,11 @@ impl<'a> PatchedCloud<'a> {
     }
 
     /// Per axis, the edited rows' removed (old) and added (new) present
-    /// values, each sorted by [`f64::total_cmp`]. Derived once and
-    /// memoized; together with the cached sorted column they define the
-    /// patched column without materializing it.
+    /// values, each sorted by [`f64::total_cmp`]. An axis a row edit leaves
+    /// bit-equal would remove and add the same value, so it is left out: a
+    /// cleaning rewrites whole rows but usually changes one attribute of
+    /// each. Derived once and memoized; together with the cached sorted
+    /// column they define the patched column without materializing it.
     pub(crate) fn edit_columns(&self) -> &[EditColumn] {
         self.edits_memo.get_or_init(|| {
             let rows = self.cache.rows();
@@ -557,6 +559,9 @@ impl<'a> PatchedCloud<'a> {
                     let mut added = Vec::with_capacity(self.edits.len());
                     for (row, new_row) in &self.edits {
                         let old = rows[*row][k];
+                        if old.to_bits() == new_row[k].to_bits() {
+                            continue;
+                        }
                         if !old.is_nan() {
                             removed.push(old);
                         }
