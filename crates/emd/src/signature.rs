@@ -461,13 +461,14 @@ fn same_shape(a: &GridSpec, b: &GridSpec) -> bool {
 ///
 /// This is how the experiment engine hands a *cleaned* sample to the
 /// distortion kernels: the cleaned cloud is the dirty cloud with a few
-/// percent of rows rewritten. Per axis, the patch sorts only its `k`
-/// removed and added values, once per patch. The grid kernels (EMD, KL,
-/// energy) read their cover from those and the cached sorted columns by
-/// rank selection ([`sd_stats::EditedUnion`]), and on dense grids quantize
-/// by re-binning the `k` edited rows of the cached histogram, so neither
-/// the `N`-row cloud nor its columns are rebuilt per comparison. Only the KS and Cramér–von Mises kernels, which read whole
-/// marginals, materialize the patched sorted columns
+/// percent of rows rewritten. Per axis, the patch sorts only the removed
+/// and added values of the edits that change that axis, once per patch.
+/// The grid kernels (EMD, KL, energy) read their cover from those and the
+/// cached sorted columns by rank selection ([`sd_stats::EditedUnion`]),
+/// and on dense grids quantize by re-binning the `k` edited rows of the
+/// cached histogram, so neither the `N`-row cloud nor its columns are
+/// rebuilt per comparison. Only the KS and Cramér–von Mises kernels, which
+/// read whole marginals, materialize the patched sorted columns
 /// ([`PatchedCloud::sorted_columns`], `O(N + k log k)`). All derivations
 /// are exact: per-cell masses are integer counts and multiset edits under
 /// [`f64::total_cmp`] are bit-precise, so [`crate::GridPair::patched`]
