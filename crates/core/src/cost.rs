@@ -177,6 +177,7 @@ pub fn cost_sweep_with<E: TaskExecutor>(
             prepared.replication(r),
             transforms,
             &config.experiment.metrics,
+            config.experiment.weights,
         )?;
         // One dirtiest-first ranking per replication; every fraction's
         // selection is a prefix of it.
@@ -257,8 +258,7 @@ fn sweep_point(
         Some(mask),
         model,
     );
-    let (improvement, distortions, treated_report) =
-        score_view(&sw.shared, transforms, config.experiment.weights, &view)?;
+    let (improvement, distortions, treated_report) = score_view(&sw.shared, transforms, &view)?;
     Ok(CostPoint {
         fraction: config.fractions[fi],
         replication: r,

@@ -6,7 +6,7 @@
 //! runner scheduled at replication granularity: one task per replication,
 //! each serially evaluating all `S` strategies and re-deriving per-strategy
 //! state that is invariant within the replication. This engine schedules at
-//! `(replication, strategy)` granularity instead: a flat work queue of
+//! `(replication, strategy)` granularity instead: a work queue of
 //! `R × S` units drained by a generic [`TaskExecutor`], so load balances
 //! across strategy units (model-imputing strategies cost ~25× a winsorize
 //! pass) and the parallel width is `R × S` rather than `R`.
@@ -43,6 +43,18 @@
 //! Group slots drop their shared state as soon as the last unit of the
 //! group completes, so peak memory stays proportional to the number of
 //! in-flight replications, not `R`.
+//!
+//! # Waves
+//!
+//! The queue runs in waves of [`TaskExecutor::width`] groups, and a wave
+//! deals its units round-robin across its groups: on two workers the
+//! order is `(g0,u0) (g1,u0) (g0,u1) (g1,u1) … (g2,u0) (g3,u0) …`. Each
+//! worker's first task builds a group of its own, so no worker waits on a
+//! group lock through another's build, nor on that group's lazily fitted
+//! imputation model. At most
+//! `2 × width` groups are live at once: the wave being claimed, plus the
+//! groups of earlier waves that still have a unit in flight. A serial
+//! executor (width 1) and a single group keep the flat `(g, u)` order.
 //!
 //! # Determinism
 //!
@@ -89,7 +101,7 @@ use rand::SeedableRng;
 use sd_cleaning::{CleaningStrategy, CompositeStrategy, MissingTreatment, ModelFit};
 use sd_data::CleanedView;
 use sd_emd::{PatchedCloud, SignatureCache};
-use sd_glitch::{GlitchIndex, GlitchMatrix, GlitchReport, GlitchWeights};
+use sd_glitch::{GlitchIndex, GlitchReport, GlitchTally, GlitchWeights};
 use sd_stats::AttributeTransform;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -115,8 +127,9 @@ pub trait TaskExecutor: Sync {
     }
 }
 
-/// The default executor: a work-stealing scoped thread pool
-/// ([`parallel_map`]). `threads == 0` selects the machine's available
+/// The default executor: [`parallel_map`], whose workers are fresh scoped
+/// threads plus the caller, each claiming the next task index from one
+/// shared counter. `threads == 0` selects the machine's available
 /// parallelism.
 #[derive(Debug, Clone, Copy)]
 pub struct ThreadPoolExecutor {
@@ -195,8 +208,10 @@ impl<G> Slot<G> {
 /// group lock; later units reuse the `Arc`) and dropping it as soon as the
 /// group's last unit finishes.
 ///
-/// Unit `u` maps to group `u / units_per_group`, member `u % units_per_group`;
-/// results come back in that flat order regardless of scheduling.
+/// The queue runs in waves of `executor.width()` groups with units dealt
+/// round-robin across a wave's groups (see the module docs), so parallel
+/// workers start on distinct groups. Unit `(g, u)`'s result comes back at
+/// flat index `g × units_per_group + u` regardless of scheduling.
 pub fn run_staged<G, T, E, B, U>(
     executor: &E,
     groups: usize,
@@ -214,15 +229,27 @@ where
     if groups == 0 || units_per_group == 0 {
         return Vec::new();
     }
+    let width = executor.width().clamp(1, groups);
     let slots: Vec<Slot<G>> = (0..groups).map(|_| Slot::new(units_per_group)).collect();
-    executor.execute(groups * units_per_group, |u| {
-        let group = u / units_per_group;
-        let unit = u % units_per_group;
+    let mut results = executor.execute(groups * units_per_group, |i| {
+        let (group, unit) = wave_position(i, groups, units_per_group, width);
         let shared = slots[group].acquire(|| build(group));
         let out = eval(&shared, group, unit);
         slots[group].release();
-        out
-    })
+        (group * units_per_group + unit, out)
+    });
+    results.sort_unstable_by_key(|&(flat, _)| flat);
+    results.into_iter().map(|(_, out)| out).collect()
+}
+
+/// The `(group, unit)` of queue task `i`: waves of `width` groups, each
+/// dealing its units round-robin across its groups. The last wave may hold
+/// fewer groups.
+fn wave_position(i: usize, groups: usize, units_per_group: usize, width: usize) -> (usize, usize) {
+    let first = i / (width * units_per_group) * width;
+    let in_wave = width.min(groups - first);
+    let k = i - first * units_per_group;
+    (first + k % in_wave, k / in_wave)
 }
 
 /// One requested metric's engine-side state: its name (for result rows)
@@ -251,6 +278,12 @@ pub(crate) struct SharedReplication {
     /// Glitch percentages of the dirty sample (outcome field, identical
     /// across the replication's strategies).
     pub dirty_report: GlitchReport,
+    /// The glitch index every unit's improvement is scored on.
+    index: GlitchIndex,
+    /// Each dirty series' glitch tally, in series order.
+    dirty_tallies: Vec<GlitchTally>,
+    /// Each dirty series' node score, in series order.
+    dirty_scores: Vec<f64>,
     /// Lazily fitted strategy-invariant imputation model.
     model: OnceLock<ModelFit>,
 }
@@ -270,6 +303,9 @@ impl SharedReplication {
             kernels: cache.kernels,
             row_offsets: cache.row_offsets,
             dirty_report: cache.dirty_report,
+            index: cache.index,
+            dirty_tallies: cache.dirty_tallies,
+            dirty_scores: cache.dirty_scores,
             model: model.map_or_else(OnceLock::new, OnceLock::from),
         }
     }
@@ -297,13 +333,16 @@ pub(crate) fn fit_replication_model(artifacts: &ReplicationArtifacts) -> ModelFi
 
 /// Everything [`SharedReplication`] derives from a replication's artifacts
 /// up front: the signature cache over the pooled dirty rows, every
-/// requested kernel's prepared dirty side, the row offsets and the dirty
-/// report.
+/// requested kernel's prepared dirty side, the row offsets, and the dirty
+/// series' glitch tallies, node scores and report.
 pub(crate) struct ReplicationCache {
     cache: SignatureCache,
     kernels: Vec<PreparedMetric>,
     row_offsets: Vec<usize>,
     dirty_report: GlitchReport,
+    index: GlitchIndex,
+    dirty_tallies: Vec<GlitchTally>,
+    dirty_scores: Vec<f64>,
 }
 
 /// Builds a replication's [`ReplicationCache`]. Errors only when
@@ -312,6 +351,7 @@ pub(crate) fn replication_cache(
     artifacts: &ReplicationArtifacts,
     transforms: &[AttributeTransform],
     metrics: &[DistortionMetric],
+    weights: GlitchWeights,
 ) -> Result<ReplicationCache> {
     let rows = pooled_working_rows(&artifacts.dirty, transforms)?;
     let mut row_offsets = Vec::with_capacity(artifacts.dirty.num_series());
@@ -320,7 +360,11 @@ pub(crate) fn replication_cache(
         row_offsets.push(offset);
         offset += series.len();
     }
-    let dirty_report = GlitchReport::from_matrices(&artifacts.dirty_matrices);
+    let index = GlitchIndex::new(weights);
+    let dirty_tallies: Vec<GlitchTally> =
+        artifacts.dirty_matrices.iter().map(|g| g.tally()).collect();
+    let dirty_scores = dirty_tallies.iter().map(|t| index.tally_score(t)).collect();
+    let dirty_report = GlitchReport::from_tallies(dirty_tallies.iter().copied());
     let cache = SignatureCache::new(rows);
     let kernels = metrics
         .iter()
@@ -337,19 +381,24 @@ pub(crate) fn replication_cache(
         kernels,
         row_offsets,
         dirty_report,
+        index,
+        dirty_tallies,
+        dirty_scores,
     })
 }
 
 /// Builds the shared per-replication state from calibrated artifacts:
-/// pooled dirty rows, the signature cache, and every requested kernel's
-/// prepared dirty side. Errors only when `transforms` does not hold one
-/// transform per attribute.
+/// pooled dirty rows, the signature cache, every requested kernel's
+/// prepared dirty side, and the dirty glitch scores under `weights`.
+/// Errors only when `transforms` does not hold one transform per
+/// attribute.
 pub(crate) fn share_replication(
     artifacts: ReplicationArtifacts,
     transforms: &[AttributeTransform],
     metrics: &[DistortionMetric],
+    weights: GlitchWeights,
 ) -> Result<SharedReplication> {
-    let cache = replication_cache(&artifacts, transforms, metrics)?;
+    let cache = replication_cache(&artifacts, transforms, metrics, weights)?;
     Ok(SharedReplication::assemble(artifacts, cache, None))
 }
 
@@ -363,7 +412,6 @@ pub(crate) fn share_replication(
 pub(crate) fn evaluate_unit(
     shared: &SharedReplication,
     transforms: &[AttributeTransform],
-    weights: GlitchWeights,
     seed: u64,
     group: usize,
     strategy_index: usize,
@@ -385,8 +433,7 @@ pub(crate) fn evaluate_unit(
         &mut rng,
         model,
     );
-    let (improvement, distortions, treated_report) =
-        score_view(shared, transforms, weights, &view)?;
+    let (improvement, distortions, treated_report) = score_view(shared, transforms, &view)?;
 
     Ok(StrategyOutcome {
         strategy: strategy.name(),
@@ -413,23 +460,34 @@ pub(crate) fn evaluate_unit(
 pub(crate) fn score_view(
     shared: &SharedReplication,
     transforms: &[AttributeTransform],
-    weights: GlitchWeights,
     view: &CleanedView<'_>,
 ) -> Result<(f64, Vec<MetricScore>, GlitchReport)> {
-    let artifacts = &shared.artifacts;
     // Re-detect only touched series; untouched series keep their dirty
-    // annotations (detection is a pure per-series function).
-    let treated_matrices: Vec<GlitchMatrix> = (0..view.num_series())
+    // tallies and node scores (detection is a pure per-series function).
+    // Node scores are summed in series order, as `GlitchIndex::improvement`
+    // sums them over the matrices, so the improvement's bits are the same.
+    let touched: Vec<Option<GlitchTally>> = (0..view.num_series())
         .map(|i| {
-            if view.is_patched(i) {
-                artifacts.detector.detect_series(view.series_at(i))
-            } else {
-                artifacts.dirty_matrices[i].clone()
-            }
+            view.is_patched(i).then(|| {
+                shared
+                    .artifacts
+                    .detector
+                    .detect_series(view.series_at(i))
+                    .tally()
+            })
         })
         .collect();
-    let index = GlitchIndex::new(weights);
-    let improvement = index.improvement(&artifacts.dirty_matrices, &treated_matrices);
+    let treated_score = GlitchIndex::normalized(touched.iter().enumerate().map(|(i, t)| {
+        t.as_ref()
+            .map_or(shared.dirty_scores[i], |t| shared.index.tally_score(t))
+    }));
+    let improvement = GlitchIndex::normalized(shared.dirty_scores.iter().copied()) - treated_score;
+    let treated_report = GlitchReport::from_tallies(
+        touched
+            .iter()
+            .zip(&shared.dirty_tallies)
+            .map(|(t, dirty)| t.unwrap_or(*dirty)),
+    );
 
     // The cleaned cloud as sparse row edits against the shared dirty rows:
     // cell edits grouped by pooled-row index, replayed in order in working
@@ -460,11 +518,7 @@ pub(crate) fn score_view(
             value: kernel.prepared.score_patch(&patched)?,
         });
     }
-    Ok((
-        improvement,
-        distortions,
-        GlitchReport::from_matrices(&treated_matrices),
-    ))
+    Ok((improvement, distortions, treated_report))
 }
 
 /// Runs the full batch protocol on the staged engine: a work queue of
@@ -481,12 +535,18 @@ pub(crate) fn run_batch<E: TaskExecutor>(
         executor,
         config.replications,
         strategies.len(),
-        |r| share_replication(prepared.replication(r), transforms, &config.metrics),
+        |r| {
+            share_replication(
+                prepared.replication(r),
+                transforms,
+                &config.metrics,
+                config.weights,
+            )
+        },
         |shared, r, s| {
             evaluate_unit(
                 shared.as_ref().map_err(Clone::clone)?,
                 transforms,
-                config.weights,
                 config.seed,
                 r,
                 s,
@@ -527,6 +587,134 @@ mod tests {
         for (i, v) in out.iter().enumerate() {
             let (g, u) = (i / 5, i % 5);
             assert_eq!(*v, g * 101 + u);
+        }
+    }
+
+    /// Runs tasks inline in index order, as [`SerialExecutor`] does, but
+    /// reports `width`, so `run_staged` lays its queue out in waves.
+    struct Recording {
+        width: usize,
+    }
+
+    impl TaskExecutor for Recording {
+        fn execute<T, F>(&self, count: usize, f: F) -> Vec<T>
+        where
+            T: Send,
+            F: Fn(usize) -> T + Sync,
+        {
+            (0..count).map(f).collect()
+        }
+
+        fn width(&self) -> usize {
+            self.width
+        }
+    }
+
+    /// Counts the group states alive at once: built by `run_staged`,
+    /// dropped with the group's last unit.
+    struct Live<'a>(&'a AtomicUsize);
+
+    impl Drop for Live<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Runs `groups × units` units on `executor` and returns the order
+    /// `eval` saw them in, after checking that each group is built once,
+    /// that results come back in flat `(g, u)` order, and that no more
+    /// than `2 × width` group states are alive at any moment.
+    fn staged_order<E: TaskExecutor>(
+        executor: &E,
+        groups: usize,
+        units: usize,
+        pause: impl Fn(usize, usize) -> u64 + Sync,
+    ) -> Vec<(usize, usize)> {
+        let builds: Vec<AtomicUsize> = (0..groups).map(|_| AtomicUsize::new(0)).collect();
+        let (live, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let order = Mutex::new(Vec::new());
+        let out = run_staged(
+            executor,
+            groups,
+            units,
+            |g| {
+                builds[g].fetch_add(1, Ordering::SeqCst);
+                peak.fetch_max(live.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                (g, Live(&live))
+            },
+            |(built, _), g, u| {
+                assert_eq!(*built, g, "unit of group {g} got group {built}'s state");
+                order.lock().push((g, u));
+                std::thread::sleep(std::time::Duration::from_micros(pause(g, u)));
+                (g, u)
+            },
+        );
+        let flat: Vec<(usize, usize)> = (0..groups)
+            .flat_map(|g| (0..units).map(move |u| (g, u)))
+            .collect();
+        assert_eq!(out, flat, "results in flat (g, u) order");
+        assert!(builds.iter().all(|b| b.load(Ordering::SeqCst) == 1));
+        assert_eq!(live.load(Ordering::SeqCst), 0, "every group dropped");
+        let bound = 2 * executor.width();
+        assert!(
+            peak.load(Ordering::SeqCst) <= bound,
+            "more than {bound} live"
+        );
+        order.into_inner()
+    }
+
+    #[test]
+    fn run_staged_deals_waves_across_groups() {
+        let order = staged_order(&Recording { width: 2 }, 5, 3, |_, _| 0);
+        #[rustfmt::skip]
+        assert_eq!(order, [
+            (0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2),
+            (2, 0), (3, 0), (2, 1), (3, 1), (2, 2), (3, 2),
+            (4, 0), (4, 1), (4, 2),
+        ]);
+        for width in [2, 3] {
+            for groups in 1..=7 {
+                let order = staged_order(&Recording { width }, groups, 4, |_, _| 0);
+                let lead = width.min(groups);
+                let mut first: Vec<usize> = order[..lead].iter().map(|&(g, _)| g).collect();
+                first.sort_unstable();
+                first.dedup();
+                assert_eq!(
+                    first.len(),
+                    lead,
+                    "width {width}, {groups} groups: {order:?}"
+                );
+                // Every group's units run in unit order, within its wave.
+                for (i, &(g, u)) in order.iter().enumerate() {
+                    let wave = g / width;
+                    let start = wave * width * 4;
+                    assert!((start..start + width * 4).contains(&i));
+                    if u > 0 {
+                        assert!(order[..i].contains(&(g, u - 1)));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn run_staged_keeps_the_serial_order() {
+        let flat: Vec<(usize, usize)> = (0..4).flat_map(|g| (0..3).map(move |u| (g, u))).collect();
+        assert_eq!(staged_order(&SerialExecutor, 4, 3, |_, _| 0), flat);
+        // One group keeps the flat order at any width.
+        let one: Vec<(usize, usize)> = (0..5).map(|u| (0, u)).collect();
+        assert_eq!(staged_order(&Recording { width: 3 }, 1, 5, |_, _| 0), one);
+    }
+
+    #[test]
+    fn run_staged_bounds_live_groups_on_the_pool() {
+        // Uneven unit costs let a later wave start while an earlier one
+        // still has units in flight.
+        for width in [2, 3] {
+            let order = staged_order(&ThreadPoolExecutor::new(width), 7, 4, |g, u| {
+                ((g * 7 + u * 3) % 5) as u64 * 150
+            });
+            assert_eq!(order.len(), 28);
         }
     }
 

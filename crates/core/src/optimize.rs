@@ -187,9 +187,10 @@ impl CostModel {
             .get(strategy_index)
             .copied()
             .unwrap_or(1.0);
+        let tally = glitches.tally();
         let cells: f64 = GlitchType::ALL
             .iter()
-            .map(|&kind| self.per_cell(kind) * glitches.count_cells(kind) as f64)
+            .map(|&kind| self.per_cell(kind) * tally.cells[kind.index()] as f64)
             .sum();
         factor * (self.base_per_series + cells)
     }
@@ -905,8 +906,12 @@ pub fn budget_optimize_with<E: TaskExecutor>(
             .execute(2 * chunk, |t| {
                 let artifacts = &artifacts[t / 2];
                 if t % 2 == 0 {
-                    let cache =
-                        replication_cache(artifacts, transforms, &config.experiment.metrics);
+                    let cache = replication_cache(
+                        artifacts,
+                        transforms,
+                        &config.experiment.metrics,
+                        config.experiment.weights,
+                    );
                     (Some(cache), None)
                 } else {
                     (None, imputes.then(|| fit_replication_model(artifacts)))
@@ -1397,6 +1402,7 @@ mod tests {
                 prepared.replication(r),
                 transforms,
                 &config.experiment.metrics,
+                config.experiment.weights,
             )
             .unwrap();
             let model = (strategy.missing_treatment() == MissingTreatment::ModelImpute)

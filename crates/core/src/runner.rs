@@ -17,10 +17,12 @@ pub(crate) fn worker_count(threads: usize) -> usize {
 /// returns the results in index order.
 ///
 /// Replications are embarrassingly parallel — each carries its own derived
-/// RNG stream — so the experiment runner fans them out with a simple
-/// work-stealing counter over a `std::thread::scope`. The calling thread is
-/// one of the workers, so a call starts `threads − 1` threads and the
-/// caller's core never idles in the join. `threads == 0` selects the
+/// RNG stream — so the experiment runner fans them out over a
+/// `std::thread::scope`: each worker claims the next task index from one
+/// shared counter until the queue is drained. The threads are spawned
+/// fresh per call (there is no persistent pool). The calling thread is one
+/// of the workers, so a call starts `threads − 1` threads and the caller's
+/// core never idles in the join. `threads == 0` selects the
 /// machine's available parallelism. Results are reassembled in index
 /// order, so the output is independent of the thread count.
 pub fn parallel_map<T, F>(count: usize, threads: usize, f: F) -> Vec<T>

@@ -406,20 +406,19 @@ impl WindowedExperiment {
                 });
                 calibrated.and_then(|(artifacts, screen)| {
                     screens.lock()[w] = Some(screen);
-                    share_replication(artifacts, &transforms, &self.config.metrics)
+                    share_replication(
+                        artifacts,
+                        &transforms,
+                        &self.config.metrics,
+                        self.config.weights,
+                    )
                 })
             },
             |shared, w, s| match shared {
-                Ok(shared) => evaluate_unit(
-                    shared,
-                    &transforms,
-                    self.config.weights,
-                    self.config.seed,
-                    w,
-                    s,
-                    &strategies[s],
-                )
-                .map(|outcome| window_outcome(&self.config, outcome, w)),
+                Ok(shared) => {
+                    evaluate_unit(shared, &transforms, self.config.seed, w, s, &strategies[s])
+                        .map(|outcome| window_outcome(&self.config, outcome, w))
+                }
                 Err(e) => Err(e.clone()),
             },
         );
@@ -687,20 +686,14 @@ pub fn evaluate_window_artifacts<E: TaskExecutor>(
         |_| {
             slot.lock()
                 .take()
-                .map(|a| share_replication(a, &transforms, &config.metrics))
+                .map(|a| share_replication(a, &transforms, &config.metrics, config.weights))
         },
         |shared, _, s| match shared {
             Some(Err(e)) => Err(e.clone()),
-            Some(Ok(shared)) => evaluate_unit(
-                shared,
-                &transforms,
-                config.weights,
-                config.seed,
-                w,
-                s,
-                &strategies[s],
-            )
-            .map(|outcome| window_outcome(config, outcome, w)),
+            Some(Ok(shared)) => {
+                evaluate_unit(shared, &transforms, config.seed, w, s, &strategies[s])
+                    .map(|outcome| window_outcome(config, outcome, w))
+            }
             None => Err(FrameworkError::Internal(
                 "window artifacts were consumed by an earlier group build".into(),
             )),

@@ -1,4 +1,4 @@
-use crate::{GlitchMatrix, GlitchType};
+use crate::{GlitchMatrix, GlitchTally, GlitchType};
 
 /// User-supplied weights `ω_k` for the glitch types (§2.1.3).
 ///
@@ -85,13 +85,18 @@ impl GlitchIndex {
     /// Per-node normalized score `(Σ_t Σ_a G_t) · W / T` for one series.
     /// Empty series score 0.
     pub fn node_score(&self, g: &GlitchMatrix) -> f64 {
-        if g.is_empty() {
+        self.tally_score(&g.tally())
+    }
+
+    /// [`GlitchIndex::node_score`] of the series a tally counts.
+    pub fn tally_score(&self, tally: &GlitchTally) -> f64 {
+        if tally.len == 0 {
             return 0.0;
         }
-        let t = g.len() as f64;
+        let t = tally.len as f64;
         GlitchType::ALL
             .iter()
-            .map(|&k| self.weights.weight(k) * g.count_cells(k) as f64 / t)
+            .map(|&k| self.weights.weight(k) * tally.cells[k.index()] as f64 / t)
             .sum()
     }
 
@@ -108,10 +113,17 @@ impl GlitchIndex {
     /// the raw sum over nodes; normalizing by the number of series (and
     /// expressing in percentage points) reproduces that invariance.
     pub fn normalized_score(&self, matrices: &[GlitchMatrix]) -> f64 {
-        if matrices.is_empty() {
+        Self::normalized(matrices.iter().map(|g| self.node_score(g)))
+    }
+
+    /// [`GlitchIndex::normalized_score`] over node scores already taken,
+    /// summed in the order given.
+    pub fn normalized(node_scores: impl ExactSizeIterator<Item = f64>) -> f64 {
+        let n = node_scores.len();
+        if n == 0 {
             return 0.0;
         }
-        100.0 * self.dataset_score(matrices) / matrices.len() as f64
+        100.0 * node_scores.sum::<f64>() / n as f64
     }
 
     /// Glitch improvement `G(D) − G(D_C)` between dirty and cleaned

@@ -6,7 +6,8 @@
 //! a glitch bit vector `g_ij(k)`. This crate provides:
 //!
 //! * [`GlitchType`] — the glitch taxonomy (`m = 3` types, extensible);
-//! * [`GlitchMatrix`] — the per-series `v × m × T` bit tensor `G_t`;
+//! * [`GlitchMatrix`] — the per-series `v × m × T` bit tensor `G_t`, and
+//!   [`GlitchTally`], its per-type counts taken in one pass;
 //! * [`ConstraintSet`] — declarative inconsistency rules, including the
 //!   paper's cross-attribute rule ("Attribute 1 should not be populated if
 //!   Attribute 3 is missing");
@@ -32,7 +33,7 @@ pub use detector::{
     ColumnScreen, GlitchDetector, OutlierDetector, PooledHistory, WindowedOutlierDetector,
 };
 pub use index::{GlitchIndex, GlitchWeights};
-pub use matrix::GlitchMatrix;
+pub use matrix::{GlitchMatrix, GlitchTally};
 pub use report::{co_occurrence, counts_per_time, CoOccurrence, GlitchReport};
 pub use types::GlitchType;
 

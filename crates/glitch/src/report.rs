@@ -1,4 +1,4 @@
-use crate::{GlitchMatrix, GlitchType};
+use crate::{GlitchMatrix, GlitchTally, GlitchType};
 
 /// Record-level glitch co-occurrence between two glitch types: the
 /// fraction of records carrying both.
@@ -37,16 +37,23 @@ pub struct GlitchReport {
 impl GlitchReport {
     /// Builds a report from per-series glitch matrices.
     pub fn from_matrices(matrices: &[GlitchMatrix]) -> Self {
+        Self::from_tallies(matrices.iter().map(GlitchMatrix::tally))
+    }
+
+    /// Builds a report from per-series tallies ([`GlitchMatrix::tally`]).
+    pub fn from_tallies(tallies: impl IntoIterator<Item = GlitchTally>) -> Self {
         let mut total_records = 0usize;
         let mut total_cells = 0usize;
         let mut rec_counts = [0usize; GlitchType::COUNT];
         let mut cell_counts = [0usize; GlitchType::COUNT];
-        for g in matrices {
-            total_records += g.len();
-            total_cells += g.len() * g.num_attributes();
-            for &k in &GlitchType::ALL {
-                rec_counts[k.index()] += g.count_records(k);
-                cell_counts[k.index()] += g.count_cells(k);
+        for tally in tallies {
+            total_records += tally.len;
+            total_cells += tally.len * tally.num_attributes;
+            for (sum, n) in rec_counts.iter_mut().zip(tally.records) {
+                *sum += n;
+            }
+            for (sum, n) in cell_counts.iter_mut().zip(tally.cells) {
+                *sum += n;
             }
         }
         let pct = |num: usize, den: usize| {

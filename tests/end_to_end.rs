@@ -72,9 +72,9 @@ fn experiments_are_deterministic_per_seed() {
 #[test]
 fn determinism_is_bit_identical_across_runs_and_thread_counts() {
     // Regression guard for the runner: outcomes must not depend on worker
-    // scheduling. The work-stealing loop reassembles results in replication
-    // order, so one seed must yield bit-identical floats for any thread
-    // count and across repeated runs.
+    // scheduling. The engine reassembles results in replication order, so
+    // one seed must yield bit-identical floats for any thread count and
+    // across repeated runs.
     let (data, config) = small_experiment(true, 97);
     let strategies: Vec<_> = (1..=5).map(paper_strategy).collect();
 

@@ -8,7 +8,8 @@
 //! this cross-check (the figure generators use it too).
 
 use statistical_distortion::core::{
-    budget_optimize_with, PreparedExperiment, SerialExecutor, StrategyOutcome,
+    budget_optimize_with, cost_sweep_with, CostPoint, PreparedExperiment, SerialExecutor,
+    StrategyOutcome, WindowOutcome, WindowedConfig, WindowedExperiment,
 };
 use statistical_distortion::prelude::*;
 
@@ -81,18 +82,22 @@ fn assert_bit_identical(reference: &[StrategyOutcome], engine: &[StrategyOutcome
     }
 }
 
+/// Five groups on one to three threads: at widths 2 and 3 the engine's
+/// last wave holds fewer groups than the others (5 = 2 + 2 + 1 = 3 + 2).
+const THREAD_SWEEP: [usize; 3] = [1, 2, 3];
+
 #[test]
 fn engine_outcomes_are_bit_identical_to_the_reference_runner() {
     let data = generate(&NetsimConfig::small(131)).dataset;
     let mut config = ExperimentConfig::paper_default(20, 131);
-    config.replications = 4;
+    config.replications = 5;
     let strategies: Vec<_> = (1..=5).map(paper_strategy).collect();
 
     let experiment = Experiment::new(config.clone());
     let prepared = experiment.prepare(&data).unwrap();
     let reference = reference_outcomes(&prepared, &strategies);
 
-    for threads in [1usize, 2] {
+    for threads in THREAD_SWEEP {
         let mut c = config.clone();
         c.threads = threads;
         let engine = Experiment::new(c).run(&data, &strategies).unwrap();
@@ -105,6 +110,85 @@ fn engine_outcomes_are_bit_identical_to_the_reference_runner() {
         .run_with(&data, &strategies, &SerialExecutor)
         .unwrap();
     assert_bit_identical(&reference, serial.outcomes(), "serial executor");
+}
+
+fn point_bits(points: &[CostPoint]) -> Vec<u64> {
+    let mut bits = Vec::new();
+    for p in points {
+        bits.extend([
+            p.replication as u64,
+            p.strategy_index as u64,
+            p.fraction.to_bits(),
+            p.improvement.to_bits(),
+            p.series_cleaned as u64,
+        ]);
+        bits.extend(p.distortions.iter().map(|d| d.value.to_bits()));
+        bits.extend(p.treated_report.record_pct.iter().map(|v| v.to_bits()));
+        bits.extend(p.treated_report.cell_pct.iter().map(|v| v.to_bits()));
+    }
+    bits
+}
+
+fn window_bits(outcomes: &[WindowOutcome]) -> Vec<u64> {
+    let mut bits = Vec::new();
+    for o in outcomes {
+        bits.extend([
+            o.window_index as u64,
+            o.strategy_index as u64,
+            o.improvement.to_bits(),
+            o.distortion.to_bits(),
+        ]);
+        bits.extend(o.distortions.iter().map(|d| d.value.to_bits()));
+        bits.extend(o.treated_report.record_pct.iter().map(|v| v.to_bits()));
+        bits.extend(o.treated_report.cell_pct.iter().map(|v| v.to_bits()));
+        bits.push(o.cleaning.cells_changed() as u64);
+    }
+    bits
+}
+
+/// The cost sweep and a windowed run over five groups match their
+/// references bit for bit on one to three threads, so a partial last wave
+/// moves no output.
+#[test]
+fn partial_last_wave_is_bit_identical_across_thread_counts() {
+    let data = generate(&NetsimConfig::small(37)).dataset;
+    let mut config = ExperimentConfig::paper_default(15, 37);
+    config.replications = 5;
+    let sweep = CostSweepConfig {
+        experiment: config,
+        fractions: vec![0.0, 0.5, 1.0],
+        strategies: vec![paper_strategy(1), paper_strategy(5)],
+        transport: TransportMode::Cold,
+    };
+    let reference = point_bits(&cost_sweep_reference(&data, &sweep).unwrap());
+
+    let windowed = WindowedExperiment::new(WindowedConfig::paper_default(20, 10, 37));
+    assert!(windowed.num_windows(&data) >= 5, "five or more windows");
+    let strategies = [paper_strategy(1), paper_strategy(5)];
+    let serial = windowed
+        .run_with(&data, &strategies, &SerialExecutor)
+        .unwrap();
+
+    for threads in THREAD_SWEEP {
+        let pool = ThreadPoolExecutor::new(threads);
+        let points = cost_sweep_with(&data, &sweep, &pool).unwrap();
+        assert_eq!(
+            point_bits(&points),
+            reference,
+            "cost sweep, threads={threads}"
+        );
+        let run = windowed.run_with(&data, &strategies, &pool).unwrap();
+        assert_eq!(
+            run.screens(),
+            serial.screens(),
+            "screens, threads={threads}"
+        );
+        assert_eq!(
+            window_bits(run.outcomes()),
+            window_bits(serial.outcomes()),
+            "windowed run, threads={threads}"
+        );
+    }
 }
 
 #[test]
