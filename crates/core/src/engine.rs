@@ -318,6 +318,43 @@ impl SharedReplication {
         self.model
             .get_or_init(|| fit_replication_model(&self.artifacts))
     }
+
+    /// Each dirty series' glitch tally, in series order.
+    pub(crate) fn dirty_tallies(&self) -> &[GlitchTally] {
+        &self.dirty_tallies
+    }
+
+    /// Each dirty series' node score, in series order.
+    pub(crate) fn dirty_scores(&self) -> &[f64] {
+        &self.dirty_scores
+    }
+
+    /// Glitch improvement and treated report of a treatment that replaces
+    /// series `i`'s dirty tally and node score with `replaced[i]` where it
+    /// is `Some`; every other series keeps its dirty ones. Node scores are
+    /// summed in series order, as `GlitchIndex::improvement` sums them over
+    /// the matrices, so the improvement's bits are the same, and the report
+    /// is `GlitchReport::from_matrices`'s.
+    pub(crate) fn treated_glitches(
+        &self,
+        replaced: &[Option<(GlitchTally, f64)>],
+    ) -> (f64, GlitchReport) {
+        let treated_score = GlitchIndex::normalized(
+            replaced
+                .iter()
+                .zip(&self.dirty_scores)
+                .map(|(r, &dirty)| r.map_or(dirty, |(_, score)| score)),
+        );
+        let improvement =
+            GlitchIndex::normalized(self.dirty_scores.iter().copied()) - treated_score;
+        let treated_report = GlitchReport::from_tallies(
+            replaced
+                .iter()
+                .zip(&self.dirty_tallies)
+                .map(|(r, &dirty)| r.map_or(dirty, |(tally, _)| tally)),
+        );
+        (improvement, treated_report)
+    }
 }
 
 /// The strategy-invariant MVN imputation model of a replication: fitted on
@@ -464,30 +501,19 @@ pub(crate) fn score_view(
 ) -> Result<(f64, Vec<MetricScore>, GlitchReport)> {
     // Re-detect only touched series; untouched series keep their dirty
     // tallies and node scores (detection is a pure per-series function).
-    // Node scores are summed in series order, as `GlitchIndex::improvement`
-    // sums them over the matrices, so the improvement's bits are the same.
-    let touched: Vec<Option<GlitchTally>> = (0..view.num_series())
+    let touched: Vec<Option<(GlitchTally, f64)>> = (0..view.num_series())
         .map(|i| {
             view.is_patched(i).then(|| {
-                shared
+                let tally = shared
                     .artifacts
                     .detector
                     .detect_series(view.series_at(i))
-                    .tally()
+                    .tally();
+                (tally, shared.index.tally_score(&tally))
             })
         })
         .collect();
-    let treated_score = GlitchIndex::normalized(touched.iter().enumerate().map(|(i, t)| {
-        t.as_ref()
-            .map_or(shared.dirty_scores[i], |t| shared.index.tally_score(t))
-    }));
-    let improvement = GlitchIndex::normalized(shared.dirty_scores.iter().copied()) - treated_score;
-    let treated_report = GlitchReport::from_tallies(
-        touched
-            .iter()
-            .zip(&shared.dirty_tallies)
-            .map(|(t, dirty)| t.unwrap_or(*dirty)),
-    );
+    let (improvement, treated_report) = shared.treated_glitches(&touched);
 
     // The cleaned cloud as sparse row edits against the shared dirty rows:
     // cell edits grouped by pooled-row index, replayed in order in working

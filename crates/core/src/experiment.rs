@@ -507,6 +507,67 @@ mod tests {
     }
 
     #[test]
+    fn prepare_handles_all_missing_and_constant_series() {
+        use sd_data::{NodeId, TimeSeries};
+        let base = data();
+        let (v, len) = (base.num_attributes(), base.series()[0].len());
+        let names: Vec<String> = base.attributes().iter().map(|a| a.name.clone()).collect();
+        let missing = || TimeSeries::new(NodeId::new(99, 0, 0), v, len);
+        let constant =
+            |level: f64| TimeSeries::from_columns(NodeId::new(99, 1, 0), vec![vec![level; len]; v]);
+        let with = |extra: Vec<TimeSeries>| {
+            let mut ds = base.clone();
+            for s in extra {
+                ds.push(s).unwrap();
+            }
+            ds
+        };
+        // (label, data, whether a run must succeed). A dirty sample of one
+        // all-missing series has no present value to score, so its run is
+        // `Distortion` (an empty signature), not a panic.
+        let cases = [
+            ("all-missing series added", with(vec![missing()]), true),
+            ("constant series added", with(vec![constant(0.5)]), true),
+            ("both added", with(vec![missing(), constant(0.5)]), true),
+            (
+                "only an all-missing and a constant series",
+                Dataset::new(names.clone(), vec![missing(), constant(0.5)]).unwrap(),
+                false,
+            ),
+            (
+                "only constant series",
+                Dataset::new(names, vec![constant(0.5), constant(0.5)]).unwrap(),
+                false,
+            ),
+        ];
+        for (label, ds, runs) in cases {
+            let mut c = small_config();
+            c.replications = 1;
+            c.sample_size = 5;
+            match Experiment::new(c).prepare(&ds) {
+                Ok(prepared) => {
+                    match prepared.run_with(&[paper_strategy(1)], &crate::SerialExecutor) {
+                        Ok(result) => assert_eq!(result.outcomes().len(), 1, "{label}"),
+                        Err(err) => assert!(
+                            !runs && matches!(err, crate::FrameworkError::Distortion(_)),
+                            "{label}: {err}"
+                        ),
+                    }
+                }
+                Err(err) => assert!(
+                    !runs
+                        && matches!(
+                            err,
+                            crate::FrameworkError::NoIdealData { .. }
+                                | crate::FrameworkError::NoDirtyData
+                        ),
+                    "{label}: {err}"
+                ),
+            }
+        }
+    }
+
+    #[test]
     fn full_cleaning_improves_glitch_score() {
         let strategies = [paper_strategy(5)];
         let result = Experiment::new(small_config())

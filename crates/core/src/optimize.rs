@@ -112,7 +112,7 @@ use rand::{Rng, SeedableRng};
 use sd_cleaning::{CleaningStrategy, CompositeStrategy, MissingTreatment, ModelFit};
 use sd_data::Dataset;
 use sd_emd::PatchedCloud;
-use sd_glitch::{GlitchIndex, GlitchMatrix, GlitchReport, GlitchType};
+use sd_glitch::{GlitchIndex, GlitchMatrix, GlitchReport, GlitchTally, GlitchType};
 use sd_stats::AttributeTransform;
 use std::sync::OnceLock;
 
@@ -182,12 +182,16 @@ impl CostModel {
     /// Prices cleaning one series (annotated by `glitches`) with the
     /// `strategy_index`-th strategy.
     pub fn price(&self, strategy_index: usize, glitches: &GlitchMatrix) -> f64 {
+        self.price_tally(strategy_index, &glitches.tally())
+    }
+
+    /// [`CostModel::price`] of the series `tally` counts.
+    pub(crate) fn price_tally(&self, strategy_index: usize, tally: &GlitchTally) -> f64 {
         let factor = self
             .strategy_factors
             .get(strategy_index)
             .copied()
             .unwrap_or(1.0);
-        let tally = glitches.tally();
         let cells: f64 = GlitchType::ALL
             .iter()
             .map(|&kind| self.per_cell(kind) * tally.cells[kind.index()] as f64)
@@ -441,8 +445,12 @@ struct Candidate {
     /// The repair as working-space row edits against the pooled dirty
     /// rows (ascending row order).
     row_edits: RowEdits,
-    /// Re-detected annotations of the repaired series.
+    /// Re-detected annotations of the repaired series (read only by the
+    /// reference path, which re-tallies whole selections).
     treated: GlitchMatrix,
+    /// The repaired series' glitch tally and node score, which the engine's
+    /// frontier points substitute for the dirty ones.
+    treated_glitches: (GlitchTally, f64),
 }
 
 /// A policy's purchase order (candidate indices, planned at the maximum
@@ -468,12 +476,14 @@ struct StrategyPlan {
 /// record its sparse working-space edits, one series per executor task.
 /// Pure in `(artifacts, strategy, seed)` and collected in series order —
 /// shared verbatim by the engine and reference paths, so their candidate
-/// sets are bit-identical.
+/// sets are bit-identical. `dirty_tallies` and `dirty_scores` are the
+/// tallies and node scores of `artifacts.dirty_matrices`, in series order.
 #[allow(clippy::too_many_arguments)]
 fn build_candidates<E: TaskExecutor>(
     artifacts: &ReplicationArtifacts,
     transforms: &[AttributeTransform],
     index: &GlitchIndex,
+    (dirty_tallies, dirty_scores): (&[GlitchTally], &[f64]),
     cost_model: &CostModel,
     strategy: &CompositeStrategy,
     strategy_index: usize,
@@ -485,7 +495,7 @@ fn build_candidates<E: TaskExecutor>(
 ) -> Vec<Candidate> {
     let num_series = artifacts.dirty.num_series();
     let build = |i: usize| -> Option<Candidate> {
-        if index.node_score(&artifacts.dirty_matrices[i]) <= 0.0 {
+        if dirty_scores[i] <= 0.0 {
             return None;
         }
         let mut mask = vec![false; num_series];
@@ -509,9 +519,9 @@ fn build_candidates<E: TaskExecutor>(
         } else {
             artifacts.dirty_matrices[i].clone()
         };
-        let delta_improvement =
-            (index.node_score(&artifacts.dirty_matrices[i]) - index.node_score(&treated)) * 100.0
-                / num_series as f64;
+        let treated_tally = treated.tally();
+        let treated_score = index.tally_score(&treated_tally);
+        let delta_improvement = (dirty_scores[i] - treated_score) * 100.0 / num_series as f64;
         // The repair's cell edits, grouped into working-space row edits
         // exactly like the engine's `score_view` (edits to one row are
         // adjacent and ascending in `t`).
@@ -531,10 +541,11 @@ fn build_candidates<E: TaskExecutor>(
         }
         Some(Candidate {
             series: i,
-            price: cost_model.price(strategy_index, &artifacts.dirty_matrices[i]),
+            price: cost_model.price_tally(strategy_index, &dirty_tallies[i]),
             delta_improvement,
             row_edits,
             treated,
+            treated_glitches: (treated_tally, treated_score),
         })
     };
     executor
@@ -745,7 +756,9 @@ fn selection_edits(candidates: &[Candidate], selected: &[usize]) -> Vec<(usize, 
 }
 
 /// The selection's treated annotations: dirty annotations with every
-/// selected series replaced by its repaired re-detection.
+/// selected series replaced by its repaired re-detection. Only the
+/// reference path materializes them; the engine substitutes tallies
+/// ([`SharedReplication::treated_glitches`]).
 fn selection_matrices(
     candidates: &[Candidate],
     selected: &[usize],
@@ -778,6 +791,7 @@ fn plan_strategy<E: TaskExecutor>(
         &shared.artifacts,
         transforms,
         index,
+        (shared.dirty_tallies(), shared.dirty_scores()),
         &config.cost_model,
         strategy,
         strategy_index,
@@ -813,7 +827,6 @@ fn plan_strategy<E: TaskExecutor>(
 /// Scores one budget point of a planned `(replication, strategy)` pair.
 fn frontier_point(
     config: &BudgetOptimizerConfig,
-    index: &GlitchIndex,
     shared: &SharedReplication,
     plan: &StrategyPlan,
     strategy_index: usize,
@@ -842,8 +855,13 @@ fn frontier_point(
             value,
         });
     }
-    let dirty_matrices = &shared.artifacts.dirty_matrices;
-    let treated = selection_matrices(candidates, &selected, dirty_matrices);
+    // The selected series' repaired tallies and node scores stand in for
+    // their dirty ones; no annotation is cloned or re-tallied.
+    let mut replaced = vec![None; shared.dirty_scores().len()];
+    for &c in &selected {
+        replaced[candidates[c].series] = Some(candidates[c].treated_glitches);
+    }
+    let (improvement, treated_report) = shared.treated_glitches(&replaced);
     Ok(FrontierPoint {
         budget,
         replication: shared.artifacts.replication,
@@ -852,10 +870,10 @@ fn frontier_point(
         policy: config.policy,
         spent,
         series_cleaned: selected.len(),
-        improvement: index.improvement(dirty_matrices, &treated),
+        improvement,
         distortion: distortions[0].value,
         distortions,
-        treated_report: GlitchReport::from_matrices(&treated),
+        treated_report,
     })
 }
 
@@ -948,14 +966,7 @@ pub fn budget_optimize_with<E: TaskExecutor>(
         let points = executor.execute(chunk * ns * nb, |u| {
             let p = u / nb;
             let plan = plans[p].as_ref().map_err(Clone::clone)?;
-            frontier_point(
-                config,
-                &index,
-                group(p)?,
-                plan,
-                p % ns,
-                config.budgets[u % nb],
-            )
+            frontier_point(config, group(p)?, plan, p % ns, config.budgets[u % nb])
         });
         for point in points {
             out.push(point?);
@@ -1009,6 +1020,13 @@ pub fn budget_optimize_reference(
                 row_offsets.push(offset);
                 offset += series.len();
             }
+            let dirty_tallies: Vec<GlitchTally> = artifacts
+                .dirty_matrices
+                .iter()
+                .map(GlitchMatrix::tally)
+                .collect();
+            let dirty_scores: Vec<f64> =
+                dirty_tallies.iter().map(|t| index.tally_score(t)).collect();
             // Same replication-level (maskless) fit as the engine path's
             // `SharedReplication::model_fit`, shared across strategies.
             let model_slot: OnceLock<ModelFit> = OnceLock::new();
@@ -1021,6 +1039,7 @@ pub fn budget_optimize_reference(
                     &artifacts,
                     transforms,
                     &index,
+                    (&dirty_tallies, &dirty_scores),
                     &config.cost_model,
                     strategy,
                     si,
@@ -1171,6 +1190,7 @@ mod tests {
             delta_improvement,
             row_edits: vec![(i, vec![a, b])],
             treated: GlitchMatrix::new(1, 1),
+            treated_glitches: (GlitchMatrix::new(1, 1).tally(), 0.0),
         }
     }
 
@@ -1411,6 +1431,7 @@ mod tests {
                 &shared.artifacts,
                 transforms,
                 &index,
+                (shared.dirty_tallies(), shared.dirty_scores()),
                 &config.cost_model,
                 strategy,
                 0,
@@ -1632,7 +1653,8 @@ mod tests {
         }
     }
 
-    /// Every scored field of a frontier, as bits.
+    /// Every scored field of a frontier, as bits, the treated report's
+    /// percentages included.
     fn frontier_bits(points: &[FrontierPoint]) -> Vec<u64> {
         let mut out = Vec::new();
         for p in points {
@@ -1646,6 +1668,15 @@ mod tests {
                 p.distortion.to_bits(),
             ]);
             out.extend(p.distortions.iter().map(|d| d.value.to_bits()));
+            let report = &p.treated_report;
+            out.push(report.total_records as u64);
+            out.extend(
+                report
+                    .record_pct
+                    .iter()
+                    .chain(&report.cell_pct)
+                    .map(|v| v.to_bits()),
+            );
         }
         out
     }
@@ -1699,9 +1730,6 @@ mod tests {
                         frontier_bits(&serial),
                         "{label}, {threads} threads"
                     );
-                    for (a, b) in parallel.iter().zip(&serial) {
-                        assert_eq!(a.treated_report, b.treated_report, "{label}");
-                    }
                 }
             }
         }

@@ -98,6 +98,15 @@ impl OutlierDetector {
         &self.limits
     }
 
+    /// Per-attribute working-space `(mean, std)` of the ideal values the
+    /// limits were fitted on; `(0, ∞)` for an attribute with no present
+    /// value. The mean is bit-identical to a
+    /// [`Summary`](sd_stats::Summary)'s of the same values (see
+    /// [`OutlierDetector::fit_series`]).
+    pub fn moments(&self) -> &[(f64, f64)] {
+        &self.moments
+    }
+
     /// The σ multiplier the detector was fitted with.
     pub fn k(&self) -> f64 {
         self.k
@@ -112,6 +121,27 @@ impl OutlierDetector {
         let w = self.transforms[attr].forward(x);
         let (lo, hi) = self.limits[attr];
         w < lo || w > hi
+    }
+
+    /// ORs [`OutlierDetector::is_outlier`] of each raw value of attribute
+    /// `attr` into the matching byte of `flags`. A missing value transforms
+    /// to NaN, which compares false against both limits, so no NaN check is
+    /// needed and the loop has no branch per cell.
+    pub(crate) fn or_outlier_flags(&self, attr: usize, column: &[f64], flags: &mut [u8]) {
+        let (lo, hi) = self.limits[attr];
+        let outside = |w: f64| u8::from(w < lo) | u8::from(w > hi);
+        match self.transforms[attr] {
+            AttributeTransform::Identity => {
+                for (f, &x) in flags.iter_mut().zip(column) {
+                    *f |= outside(x);
+                }
+            }
+            tf => {
+                for (f, &x) in flags.iter_mut().zip(column) {
+                    *f |= outside(tf.forward(x));
+                }
+            }
+        }
     }
 
     /// Two-sided Gaussian p-value of the raw value under the fitted
@@ -474,18 +504,39 @@ impl GlitchDetector {
     /// The number of time steps of `series` where `glitch` is flagged on
     /// at least one attribute: `detect_series(series).count_records(glitch)`
     /// without building the matrix, and scanning for `glitch` alone.
+    ///
+    /// Missing and outlier cells are OR-ed column by column into one byte
+    /// per record, with no branch per cell; inconsistent cells set their
+    /// record's byte violation by violation.
     pub fn count_records(&self, series: &TimeSeries, glitch: GlitchType) -> usize {
-        let mut flagged = vec![false; series.len()];
-        self.scan(series, glitch, |t, _| flagged[t] = true);
-        flagged.iter().filter(|&&f| f).count()
+        let mut records = vec![0u8; series.len()];
+        match glitch {
+            GlitchType::Missing => {
+                for a in 0..series.num_attributes() {
+                    for (r, x) in records.iter_mut().zip(series.attribute(a)) {
+                        *r |= u8::from(x.is_nan());
+                    }
+                }
+            }
+            GlitchType::Inconsistent => self
+                .constraints
+                .for_each_violation(series, |t, _| records[t] = 1),
+            GlitchType::Outlier => {
+                if let Some(od) = &self.outliers {
+                    for a in 0..series.num_attributes() {
+                        od.or_outlier_flags(a, series.attribute(a), &mut records);
+                    }
+                }
+            }
+        }
+        records.iter().map(|&r| usize::from(r)).sum()
     }
 
-    /// The one cell scan behind [`GlitchDetector::detect_series`] and
-    /// [`GlitchDetector::count_records`]: calls `flag(t, attr)` for every
-    /// cell of `series` flagged with `glitch`. Missing and outlier cells
-    /// are found column by column, inconsistent ones constraint by
-    /// constraint, so an inconsistent cell is reported once per constraint
-    /// it violates. Missing and constraint checks read raw values, the
+    /// The one cell scan behind [`GlitchDetector::detect_series`]: calls
+    /// `flag(t, attr)` for every cell of `series` flagged with `glitch`.
+    /// Missing and outlier cells are found column by column, inconsistent
+    /// ones constraint by constraint, so an inconsistent cell is reported
+    /// once per constraint it violates. Missing and constraint checks read raw values, the
     /// outlier check working-space values through the fitted detector.
     fn scan(&self, series: &TimeSeries, glitch: GlitchType, mut flag: impl FnMut(usize, usize)) {
         match glitch {
@@ -739,6 +790,86 @@ mod tests {
                 prop_assert_eq!(
                     det.is_outlier_weighted(&own_series, &weighted, 0, t),
                     oracle_is_outlier_weighted(&det, &own_series, &weighted, 0, t)
+                );
+            }
+        }
+    }
+
+    /// [`GlitchDetector::count_records`] as it was before the byte-OR
+    /// counter: one [`GlitchDetector::scan`] into a `Vec<bool>`.
+    fn oracle_count_records(
+        det: &GlitchDetector,
+        series: &TimeSeries,
+        glitch: GlitchType,
+    ) -> usize {
+        let mut flagged = vec![false; series.len()];
+        det.scan(series, glitch, |t, _| flagged[t] = true);
+        flagged.iter().filter(|&&f| f).count()
+    }
+
+    /// A three-attribute series of length 0..30 whose columns are each all
+    /// missing, constant, or mixed [`cell`]s with ±0.0 laid over some.
+    fn record_series() -> impl Strategy<Value = TimeSeries> {
+        (
+            0usize..30,
+            prop::collection::vec((0u32..5, -5.0f64..5.0), 3..4),
+            prop::collection::vec((cell(), 0u32..8), 90..91),
+        )
+            .prop_map(|(len, modes, cells)| {
+                let columns = modes
+                    .iter()
+                    .enumerate()
+                    .map(|(a, &(mode, level))| match mode {
+                        0 => vec![f64::NAN; len],
+                        1 => vec![level; len],
+                        _ => cells[a * 30..a * 30 + len]
+                            .iter()
+                            .map(|&(x, z)| match z {
+                                0 => 0.0,
+                                1 => -0.0,
+                                _ => x,
+                            })
+                            .collect(),
+                    })
+                    .collect();
+                TimeSeries::from_columns(NodeId::new(0, 0, 0), columns)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The byte-OR record counter agrees with the scan-based oracle for
+        /// every glitch type, with and without fitted outlier limits (fitted
+        /// on series that may themselves hold all-missing or constant
+        /// columns, so limits can be infinite or collapse to a point).
+        #[test]
+        fn record_counter_matches_scan_oracle(
+            series in record_series(),
+            ideal in prop::collection::vec(record_series(), 0..3),
+            (rule_mask, log_mask, with_outliers) in (0u32..16, 0u32..8, 0u32..2),
+            k in 0.5f64..4.0,
+        ) {
+            let rules = [
+                Constraint::NonNegative { attr: 0 },
+                Constraint::Range { attr: 1, lo: 0.0, hi: 1.0 },
+                Constraint::NotPopulatedIf { attr: 0, other: 2 },
+                Constraint::GreaterThan { attr: 2, other: 0 },
+            ];
+            let constraints = ConstraintSet::new(
+                (0..4).filter(|i| rule_mask >> i & 1 == 1).map(|i| rules[i].clone()).collect(),
+            );
+            let transforms: Vec<AttributeTransform> = (0..3)
+                .map(|a| if log_mask >> a & 1 == 1 { AttributeTransform::log() } else { AttributeTransform::Identity })
+                .collect();
+            let outliers = (with_outliers == 1)
+                .then(|| OutlierDetector::fit_series(&ideal, &transforms, k));
+            let det = GlitchDetector::new(constraints, outliers);
+            for g in GlitchType::ALL {
+                prop_assert_eq!(
+                    det.count_records(&series, g),
+                    oracle_count_records(&det, &series, g),
+                    "{} records, len {}", g, series.len()
                 );
             }
         }

@@ -2,7 +2,7 @@
 //!
 //! Two structural facts qualify every token before the rules see it:
 //!
-//! 1. **Test regions.** `P001` exempts test code. A test region is the
+//! 1. **Test regions.** `P001` and `P002` exempt test code. A test region is the
 //!    brace-delimited body of any item carrying a `test`-mentioning
 //!    attribute (`#[test]`, `#[cfg(test)]`, `#[cfg(any(test, …))]`), with
 //!    `#[cfg(not(test))]` explicitly *not* counting. Regions nest freely;

@@ -15,6 +15,8 @@ pub enum RuleId {
     D004,
     /// `unwrap`/`expect`/`panic!`/`unreachable!` in non-test library code.
     P001,
+    /// `assert!`/`assert_eq!`/`assert_ne!` in non-test library code.
+    P002,
     /// `unsafe` in an `sd-*` crate.
     U001,
     /// A malformed `sd-lint: allow(...)` directive (always a failure).
@@ -23,14 +25,19 @@ pub enum RuleId {
 
 /// Every enforceable rule, in report order ([`RuleId::A000`] excluded — it
 /// is the directive meta-check, not a subscribable rule).
-pub const ALL_RULES: [RuleId; 6] = [
+pub const ALL_RULES: [RuleId; 7] = [
     RuleId::D001,
     RuleId::D002,
     RuleId::D003,
     RuleId::D004,
     RuleId::P001,
+    RuleId::P002,
     RuleId::U001,
 ];
+
+/// The rules that tolerate committed per-crate debt through the ratchet
+/// baseline (`lint-baseline.json`) instead of failing on any finding.
+pub const RATCHETED_RULES: [RuleId; 2] = [RuleId::P001, RuleId::P002];
 
 impl RuleId {
     /// The stable textual id (`"D001"`, …) used in output, directives, and
@@ -42,6 +49,7 @@ impl RuleId {
             RuleId::D003 => "D003",
             RuleId::D004 => "D004",
             RuleId::P001 => "P001",
+            RuleId::P002 => "P002",
             RuleId::U001 => "U001",
             RuleId::A000 => "A000",
         }
@@ -56,9 +64,16 @@ impl RuleId {
             "D003" => Some(RuleId::D003),
             "D004" => Some(RuleId::D004),
             "P001" => Some(RuleId::P001),
+            "P002" => Some(RuleId::P002),
             "U001" => Some(RuleId::U001),
             _ => None,
         }
+    }
+
+    /// Whether the rule is ratcheted per crate ([`RATCHETED_RULES`]) rather
+    /// than failing on any finding.
+    pub fn is_ratcheted(self) -> bool {
+        RATCHETED_RULES.contains(&self)
     }
 
     /// One-line description, used by `sd-lint rules` and the docs table.
@@ -73,6 +88,7 @@ impl RuleId {
             RuleId::P001 => {
                 "unwrap/expect/panic!/unreachable! in non-test library code (ratcheted)"
             }
+            RuleId::P002 => "assert!/assert_eq!/assert_ne! in non-test library code (ratcheted)",
             RuleId::U001 => "unsafe code in an sd-* crate",
             RuleId::A000 => "malformed sd-lint allow directive",
         }

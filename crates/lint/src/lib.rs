@@ -13,11 +13,12 @@
 //! | D003 | `Instant`/`SystemTime` in compute paths |
 //! | D004 | thread spawn outside the approved `parallel_map` preallocated-slot idiom |
 //! | P001 | `unwrap`/`expect`/`panic!`/`unreachable!` in non-test library code (ratcheted) |
+//! | P002 | `assert!`/`assert_eq!`/`assert_ne!` in non-test library code (ratcheted) |
 //! | U001 | `unsafe` anywhere in an `sd-*` crate |
 //!
-//! D001–D004 and U001 fail on any finding. P001 tolerates committed debt
-//! through a per-crate ratchet ([`baseline`], `lint-baseline.json`):
-//! counts may only fall. Justified exceptions use an inline escape —
+//! D001–D004 and U001 fail on any finding. P001 and P002 tolerate
+//! committed debt through a per-crate ratchet ([`baseline`],
+//! `lint-baseline.json`): counts may only fall. Justified exceptions use an inline escape —
 //! `// sd-lint: allow(RULE, reason)` — which is itself counted in the
 //! report artifact, so suppressed debt stays visible.
 //!
@@ -40,7 +41,7 @@ pub mod rules;
 pub mod walk;
 
 use baseline::{compare, Baseline};
-use diagnostics::{sort_diagnostics, RuleId};
+use diagnostics::{sort_diagnostics, RuleId, RATCHETED_RULES};
 use report::CheckOutcome;
 use std::collections::BTreeMap;
 use std::fs;
@@ -61,14 +62,18 @@ pub fn check_workspace(root: &Path) -> Result<(CheckOutcome, Baseline), String> 
         ..CheckOutcome::default()
     };
     let mut p001: BTreeMap<String, usize> = BTreeMap::new();
+    let mut p002: BTreeMap<String, usize> = BTreeMap::new();
     for file in &files {
         let source = fs::read_to_string(&file.path)
             .map_err(|e| format!("cannot read {}: {e}", file.path.display()))?;
         let lint = engine::lint_source(&file.rel, &file.crate_name, &source);
         for diag in &lint.diagnostics {
-            if diag.rule == RuleId::P001 {
-                *p001.entry(file.crate_name.clone()).or_insert(0) += 1;
-            }
+            let counts = match diag.rule {
+                RuleId::P001 => &mut p001,
+                RuleId::P002 => &mut p002,
+                _ => continue,
+            };
+            *counts.entry(file.crate_name.clone()).or_insert(0) += 1;
         }
         outcome.diagnostics.extend(lint.diagnostics);
         outcome.suppressed.extend(lint.suppressed);
@@ -76,8 +81,13 @@ pub fn check_workspace(root: &Path) -> Result<(CheckOutcome, Baseline), String> 
     }
     sort_diagnostics(&mut outcome.diagnostics);
     sort_diagnostics(&mut outcome.suppressed);
-    outcome.deltas = compare(&p001, &baseline);
+    outcome.deltas = RATCHETED_RULES
+        .into_iter()
+        .zip([&p001, &p002])
+        .flat_map(|(rule, counts)| compare(rule, counts, &baseline))
+        .collect();
     outcome.p001_by_crate = p001;
+    outcome.p002_by_crate = p002;
     Ok((outcome, baseline))
 }
 

@@ -7,7 +7,7 @@
 //! ```
 //!
 //! `check` lints the workspace and exits non-zero on any new violation or
-//! P001 ratchet regression; with `SD_OUT=<dir>` (or `--report <path>`) it
+//! P001/P002 ratchet regression; with `SD_OUT=<dir>` (or `--report <path>`) it
 //! also writes the JSON report artifact. `ratchet` rewrites
 //! `lint-baseline.json` downward after debt has been paid off. `rules`
 //! prints the rule table.
@@ -52,14 +52,14 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     // Hard rules: every surviving finding is a failure.
     let mut hard = 0usize;
     for diag in &outcome.diagnostics {
-        if diag.rule != RuleId::P001 {
+        if !diag.rule.is_ratcheted() {
             println!("{diag}");
             hard += 1;
         }
     }
 
-    // P001: print sites only for crates over their ceiling (printing the
-    // whole tolerated backlog every run would bury real regressions).
+    // P001/P002: print sites only for crates over their ceiling (printing
+    // the whole tolerated backlog every run would bury real regressions).
     let mut regressions = Vec::new();
     for delta in &outcome.deltas {
         if delta.regressed() {
@@ -68,11 +68,11 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     }
     for delta in &regressions {
         println!(
-            "P001 ratchet regression in {}: {} sites, baseline allows {}",
-            delta.crate_name, delta.current, delta.ceiling
+            "{} ratchet regression in {}: {} sites, baseline allows {}",
+            delta.rule, delta.crate_name, delta.current, delta.ceiling
         );
         for diag in &outcome.diagnostics {
-            if diag.rule == RuleId::P001 && crate_of(&diag.file) == delta.crate_name {
+            if diag.rule == delta.rule && crate_of(&diag.file) == delta.crate_name {
                 println!("{diag}");
             }
         }
@@ -102,23 +102,28 @@ fn cmd_ratchet() -> Result<ExitCode, String> {
     if !initializing && !regressed.is_empty() {
         for delta in &regressed {
             eprintln!(
-                "cannot ratchet: {} has {} P001 sites, baseline allows {}",
-                delta.crate_name, delta.current, delta.ceiling
+                "cannot ratchet: {} has {} {} sites, baseline allows {}",
+                delta.crate_name, delta.current, delta.rule, delta.ceiling
             );
         }
         return Err("the ratchet only turns downward; fix the regressions first".into());
     }
     let mut new_baseline = Baseline::default();
-    for (crate_name, &count) in &outcome.p001_by_crate {
-        if count > 0 {
-            new_baseline.p001.insert(crate_name.clone(), count);
+    for (counts, ceilings) in [
+        (&outcome.p001_by_crate, &mut new_baseline.p001),
+        (&outcome.p002_by_crate, &mut new_baseline.p002),
+    ] {
+        for (crate_name, &count) in counts {
+            if count > 0 {
+                ceilings.insert(crate_name.clone(), count);
+            }
         }
     }
     for delta in &outcome.deltas {
         if delta.improvable() {
             println!(
-                "ratchet: {} {} -> {}",
-                delta.crate_name, delta.ceiling, delta.current
+                "ratchet: {} {} {} -> {}",
+                delta.rule, delta.crate_name, delta.ceiling, delta.current
             );
         }
     }
@@ -183,22 +188,27 @@ fn crate_of(rel: &str) -> String {
 fn summary(deltas: &[RatchetDelta], hard: usize, outcome: &sd_lint::report::CheckOutcome) {
     let allowed = outcome.allows.iter().filter(|a| a.used).count();
     let p001_total: usize = outcome.p001_by_crate.values().sum();
+    let p002_total: usize = outcome.p002_by_crate.values().sum();
     println!(
-        "sd-lint: {} files, {} hard violations, {} P001 sites (ratcheted), {} allows in use",
-        outcome.files_scanned, hard, p001_total, allowed
+        "sd-lint: {} files, {} hard violations, {} P001 and {} P002 sites (ratcheted), \
+         {} allows in use",
+        outcome.files_scanned, hard, p001_total, p002_total, allowed
     );
-    let mut debt: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
+    let mut debt: BTreeMap<(RuleId, &str), (usize, usize)> = BTreeMap::new();
     for delta in deltas {
         if delta.current > 0 || delta.ceiling > 0 {
-            debt.insert(&delta.crate_name, (delta.current, delta.ceiling));
+            debt.insert(
+                (delta.rule, &delta.crate_name),
+                (delta.current, delta.ceiling),
+            );
         }
     }
-    for (crate_name, (current, ceiling)) in &debt {
+    for ((rule, crate_name), (current, ceiling)) in &debt {
         let note = if current < ceiling {
             "  (below baseline — run `sd-lint ratchet`)"
         } else {
             ""
         };
-        println!("  P001 {crate_name}: {current}/{ceiling}{note}");
+        println!("  {rule} {crate_name}: {current}/{ceiling}{note}");
     }
 }

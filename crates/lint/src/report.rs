@@ -23,18 +23,18 @@ pub struct CheckOutcome {
     pub allows: Vec<AllowRecord>,
     /// Surviving P001 findings per crate.
     pub p001_by_crate: BTreeMap<String, usize>,
+    /// Surviving P002 findings per crate.
+    pub p002_by_crate: BTreeMap<String, usize>,
     /// Per-crate comparison against the committed baseline.
     pub deltas: Vec<RatchetDelta>,
 }
 
 impl CheckOutcome {
-    /// Whether the gate passes: no surviving non-P001 finding, no malformed
-    /// directive, and no crate above its P001 ceiling.
+    /// Whether the gate passes: no surviving finding of a rule that is not
+    /// ratcheted, no malformed directive, and no crate above its P001 or
+    /// P002 ceiling.
     pub fn passes(&self) -> bool {
-        let hard_failures = self
-            .diagnostics
-            .iter()
-            .any(|d| d.rule != crate::diagnostics::RuleId::P001);
+        let hard_failures = self.diagnostics.iter().any(|d| !d.rule.is_ratcheted());
         let ratchet_failures = self.deltas.iter().any(RatchetDelta::regressed);
         !hard_failures && !ratchet_failures
     }
@@ -51,11 +51,12 @@ impl CheckOutcome {
             rules.insert(rule.as_str().to_string(), Value::Object(entry));
         }
 
-        let p001: BTreeMap<String, Value> = self
-            .p001_by_crate
-            .iter()
-            .map(|(k, &v)| (k.clone(), Value::Number(v as f64)))
-            .collect();
+        let by_crate = |counts: &BTreeMap<String, usize>| -> BTreeMap<String, Value> {
+            counts
+                .iter()
+                .map(|(k, &v)| (k.clone(), Value::Number(v as f64)))
+                .collect()
+        };
 
         let allows: Vec<Value> = self
             .allows
@@ -99,7 +100,14 @@ impl CheckOutcome {
         );
         top.insert("passes".to_string(), Value::Bool(self.passes()));
         top.insert("rules".to_string(), Value::Object(rules));
-        top.insert("p001_by_crate".to_string(), Value::Object(p001));
+        top.insert(
+            "p001_by_crate".to_string(),
+            Value::Object(by_crate(&self.p001_by_crate)),
+        );
+        top.insert(
+            "p002_by_crate".to_string(),
+            Value::Object(by_crate(&self.p002_by_crate)),
+        );
         top.insert("baseline".to_string(), baseline.to_value());
         top.insert("allows".to_string(), Value::Array(allows));
         top.insert("diagnostics".to_string(), Value::Array(diagnostics));

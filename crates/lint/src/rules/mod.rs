@@ -11,6 +11,7 @@
 //! | D003 | every crate except `sd-bench` (the perf harness is *supposed* to read the clock) |
 //! | D004 | every file except the approved spawn sites: `crates/core/src/runner.rs` (`parallel_map`) and `crates/serve/src/shard.rs` (the serving layer's shard/collector threads) |
 //! | P001 | non-test code in every crate (ratcheted per crate via `lint-baseline.json`) |
+//! | P002 | non-test code in every crate (ratcheted per crate via `lint-baseline.json`) |
 //! | U001 | every crate (cross-checks the `#![forbid(unsafe_code)]` attributes) |
 
 mod determinism;

@@ -90,6 +90,25 @@ fn p001_skips_test_regions() {
 }
 
 #[test]
+fn p002_fires_on_every_assert_macro() {
+    let got = findings("p002_fail.rs", include_str!("fixtures/p002_fail.rs"));
+    assert_eq!(
+        got,
+        vec![
+            (RuleId::P002, 2, 5),
+            (RuleId::P002, 7, 5),
+            (RuleId::P002, 8, 5),
+        ]
+    );
+}
+
+#[test]
+fn p002_skips_debug_asserts_and_test_regions() {
+    let got = findings("p002_pass.rs", include_str!("fixtures/p002_pass.rs"));
+    assert_eq!(got, vec![]);
+}
+
+#[test]
 fn u001_fires_on_unsafe_block() {
     let got = findings("u001_fail.rs", include_str!("fixtures/u001_fail.rs"));
     assert_eq!(got, vec![(RuleId::U001, 2, 5)]);

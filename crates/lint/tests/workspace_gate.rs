@@ -3,7 +3,6 @@
 //! enforces, so a PR that introduces a violation fails `cargo test`
 //! locally before it ever reaches CI.
 
-use sd_lint::diagnostics::RuleId;
 use sd_lint::{check_workspace, workspace_root};
 
 #[test]
@@ -15,7 +14,7 @@ fn live_workspace_passes_the_lint_gate() {
     let hard: Vec<_> = outcome
         .diagnostics
         .iter()
-        .filter(|d| d.rule != RuleId::P001)
+        .filter(|d| !d.rule.is_ratcheted())
         .collect();
     assert!(
         hard.is_empty(),
@@ -25,7 +24,7 @@ fn live_workspace_passes_the_lint_gate() {
     let regressions: Vec<_> = outcome.deltas.iter().filter(|d| d.regressed()).collect();
     assert!(
         regressions.is_empty(),
-        "P001 above the committed baseline: {regressions:#?}"
+        "P001 or P002 above the committed baseline: {regressions:#?}"
     );
     assert!(outcome.passes());
 }

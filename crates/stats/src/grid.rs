@@ -1,4 +1,4 @@
-use crate::{quantile_of_ranked, HistogramSpec, RankedColumn};
+use crate::{quantile_of_ranked, sort_total, HistogramSpec, RankedColumn};
 use std::collections::BTreeMap;
 
 /// Uniform binning of a `d`-dimensional box: one [`HistogramSpec`] per axis.
@@ -160,7 +160,7 @@ pub fn sorted_union_columns(a: &[Vec<f64>], b: &[Vec<f64>]) -> Option<Vec<Vec<f6
                 column.push(x);
             }
         }
-        column.sort_by(f64::total_cmp);
+        sort_total(&mut column);
         columns.push(column);
     }
     Some(columns)

@@ -18,6 +18,7 @@ mod histogram;
 mod kl;
 mod pairwise;
 mod quantile;
+mod sort;
 mod summary;
 mod transform;
 
@@ -30,6 +31,7 @@ pub use pairwise::SumTree;
 pub use quantile::{
     median, quantile, quantile_of_ranked, quantile_of_sorted, EditedUnion, RankedColumn,
 };
+pub use sort::sort_total;
 pub use summary::Summary;
 pub use transform::AttributeTransform;
 
